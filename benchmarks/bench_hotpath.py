@@ -1,34 +1,36 @@
-"""Hot-path benchmark: fused ``step`` kernel vs the two-call loop.
+"""Hot-path benchmark: the ``step`` kernel vs the two-call loop.
 
 Measures the per-branch simulation loop in isolation (single process, one
 predictor instance per timing run) rather than the experiment layer that
 ``bench_throughput.py`` covers.  For each configuration it times
-``simulate(..., use_step=False)`` (the ``predict``/``update`` path) and
-``simulate(..., use_step=True)`` (the fused kernel), asserts the two
-produce identical misprediction counts, and reports branches/second plus
-the fused/unfused speedup.
+``simulate(..., use_step=False)`` (the ``predict``/``update`` oracle) and
+``simulate(..., use_step=True)`` (the kernel: a base record plus the
+lane tail), asserts the two produce identical misprediction counts, and
+reports branches/second plus the kernel/oracle speedup.
 
 ``--floor N`` turns the benchmark into a regression gate: the run exits
-non-zero if any configuration's *fused* rate drops below N branches/sec.
-CI uses this on a short trace with a deliberately conservative floor, so
-only order-of-magnitude regressions (an accidentally de-specialised
-kernel, a resurrected per-branch allocation) trip it on shared runners.
+non-zero if any configuration's kernel ("fused") rate drops below N
+branches/sec.  CI uses this on a short trace with a deliberately
+conservative floor, so only order-of-magnitude regressions (an
+accidentally de-specialised kernel, a resurrected per-branch allocation)
+trip it on shared runners.
 
-``--backend`` adds an execution-backend axis on top of the kernel one:
-``reference`` and ``batched`` time the whole config column as one
-``run_cells`` call on that backend; ``compare`` times both, asserts the
-results are bit-identical, and reports the batched speedup (gated by
-``--batched-floor``).  ``--capacity-sweep N`` swaps the column for the
-Fig-16-style group batching was built for: by default (``--sweep-flavor
-llbpx``) ``tsl_64k`` plus ``N - 1`` ``llbpx_0lat`` capacity lanes
-sharing one base; ``--sweep-flavor tsl`` uses the Fig-16b TSL capacity
-presets instead -- ``N`` lanes with ``N`` *distinct* bases, the
-singleton-heavy shape persistent base streams exist for.
+``--backend compare`` times a whole config column two ways: one
+``run_one`` per cell (each cell records a base of its own) against one
+``run_cells`` call (cells sharing a base config replay one recorded
+stream).  It asserts the results are bit-identical and reports the
+shared-base speedup (gated by ``--batched-floor``).
+``--capacity-sweep N`` swaps the column for the Fig-16-style group
+sharing was built for: by default (``--sweep-flavor llbpx``)
+``tsl_64k`` plus ``N - 1`` ``llbpx_0lat`` capacity lanes sharing one
+base; ``--sweep-flavor tsl`` uses the Fig-16b TSL capacity presets
+instead -- ``N`` lanes with ``N`` *distinct* bases, the singleton-heavy
+shape persistent base streams exist for.
 
-``--backend base`` times the same column twice on the batched backend
+``--backend base`` times the same column twice through ``run_cells``
 against one artifact store with a cold result cache: a cold-base pass
-that records every group's shared-base stream, then a warm-base pass
-that adopts the persisted streams and runs tail-only.  Bit-identity
+that records (and persists) every group's base stream, then a warm-base
+pass that adopts the persisted streams and runs tail-only.  Bit-identity
 between the passes is asserted before the timings count, and
 ``--base-floor RATIO`` gates the warm speedup the same way
 ``--batched-floor`` gates ``compare``.
@@ -60,15 +62,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.core import ArtifactStore, Runner, RunnerConfig
-from repro.core.batched import base_config as base_config_of
-from repro.core.simulator import BACKEND_BATCHED, BACKEND_REFERENCE, simulate
+from repro.core.simulator import simulate
 from repro.experiments.fig16_capacity import FIG16A_CONTEXTS
 
 DEFAULT_CONFIGS = "tsl_64k,llbp,llbpx"
 
 #: ``--sweep-flavor tsl``: the Fig-16b-style baseline-capacity lanes.
-#: Every preset is its own base config, so a cold batched plan sees only
-#: singletons (demoted to reference) while a warm artifact store turns
+#: Every preset is its own base config, so each lane is a one-lane group
+#: that records its own stream cold, while a warm artifact store turns
 #: each into a tail-only replay -- the persistent-stream stress shape.
 TSL_SWEEP_PRESETS = (
     "tsl_8k", "tsl_16k", "tsl_32k", "tsl_64k", "tsl_128k", "tsl_256k", "tsl_512k",
@@ -108,13 +109,13 @@ def bench_config(runner: Runner, workload: str, name: str) -> dict:
 
 
 def sweep_cells(workload: str, configs: list, lanes: int, flavor: str = "llbpx") -> list:
-    """The cell column a group-backend run times.
+    """The cell column the ``compare`` and ``base`` modes time.
 
     Without ``--capacity-sweep`` it is one lane per ``--configs`` entry;
     with it, either ``tsl_64k`` plus ``lanes - 1`` LLBP-X capacity points
-    sharing one base (the shared-base group the batched backend exists
-    for), or -- ``flavor="tsl"`` -- ``lanes`` Fig-16b TSL presets with
-    ``lanes`` distinct bases.
+    sharing one base (the shape shared-base groups exist for), or --
+    ``flavor="tsl"`` -- ``lanes`` Fig-16b TSL presets with ``lanes``
+    distinct bases.
     """
     if lanes <= 0:
         return [(workload, name, {}) for name in configs]
@@ -126,30 +127,34 @@ def sweep_cells(workload: str, configs: list, lanes: int, flavor: str = "llbpx")
     return cells
 
 
-def bench_backend(config: RunnerConfig, workload: str, cells: list, backend: str) -> tuple:
-    """Time one ``run_cells`` pass of ``cells`` on ``backend``.
+def bench_column(config: RunnerConfig, workload: str, cells: list, mode: str) -> tuple:
+    """Time one pass of ``cells``: ``one_base_per_cell`` or ``shared_base``.
 
-    The workload bundle is built before the clock starts: both backends
-    pay the same (untimed) precomputation, so the measurement isolates
-    the simulation loops.  Returns ``(seconds, results)``.
+    ``one_base_per_cell`` runs each cell through ``run_one`` (each records
+    a base of its own); ``shared_base`` runs the column as one
+    ``run_cells`` call (one base record per shared base config).  The
+    workload bundle is built before the clock starts: both modes pay the
+    same (untimed) precomputation, so the measurement isolates the
+    simulation loops.  Returns ``(seconds, results)``.
     """
-    runner = Runner(config, backend=backend)
+    runner = Runner(config)
     runner.bundle(workload)
     start = time.perf_counter()
-    results = runner.run_cells(cells, release_bundles=False)
+    if mode == "one_base_per_cell":
+        results = [runner.run_one(w, name, **overrides) for w, name, overrides in cells]
+    else:
+        results = runner.run_cells(cells, release_bundles=False)
     return time.perf_counter() - start, results
 
 
 def bench_base_streams(args, configs: list) -> dict:
-    """``--backend base``: cold-base vs warm-base batched execution.
+    """``--backend base``: cold-base vs warm-base execution.
 
-    Both passes run the same column on the batched backend with a cold
-    result cache against one artifact store.  The cold pass records the
-    shared-base streams it needs (singleton lanes have no group to
-    amortise a recording and fall back to reference); the warm pass
-    adopts every persisted stream and runs tail-only -- including lanes
-    that were reference fallbacks when cold, since a warm base admits
-    singleton batched groups.  Bit-identity is asserted first.
+    Both passes run the same column through ``run_cells`` with a cold
+    result cache against one artifact store.  The cold pass records and
+    persists every group's base stream (a lone cell is a one-lane
+    group); the warm pass adopts every persisted stream and runs
+    tail-only.  Bit-identity is asserted first.
     """
     cells = sweep_cells(args.workload, configs, args.capacity_sweep, args.sweep_flavor)
     run_config = RunnerConfig(scale=args.scale, num_branches=args.branches)
@@ -160,21 +165,9 @@ def bench_base_streams(args, configs: list) -> dict:
     section = {"lanes": lanes, "cells": [[w, n, o] for w, n, o in cells], "modes": {}}
     results_by_mode = {}
     with tempfile.TemporaryDirectory(prefix="repro-bench-base-") as artifact_dir:
-        # prime the store so both timed passes mmap bundles identically,
-        # and record every base stream so the warm pass is fully warm
-        # (the cold pass only records streams for multi-lane groups)
-        bases = []
-        for _, name, _ in cells:
-            base = base_config_of(name, run_config.scale)
-            if base is not None and base not in bases:
-                bases.append(base)
         for mode in ("cold", "warm"):
             store = ArtifactStore(artifact_dir)
-            if mode == "cold":
-                # streams recorded by a previous pass would warm this one
-                for path in Path(artifact_dir).rglob("base_*.npy"):
-                    path.unlink()
-            runner = Runner(run_config, backend=BACKEND_BATCHED, artifacts=store)
+            runner = Runner(run_config, artifacts=store)
             runner.bundle(args.workload)
             start = time.perf_counter()
             results_by_mode[mode] = runner.run_cells(cells, release_bundles=False)
@@ -185,11 +178,6 @@ def bench_base_streams(args, configs: list) -> dict:
                 "base_records": store.base_writes,
                 "base_loads": store.base_loads,
             }
-            if mode == "cold":
-                # top up (untimed): persist streams for lanes the cold
-                # pass ran as reference fallbacks, so the warm pass is
-                # fully warm
-                store.warm_bases([args.workload], run_config, bases)
             print(
                 f"{mode:>10s}: {seconds:8.3f}s  {total_branches / seconds:>9.0f} "
                 f"lane-branches/s  ({store.base_loads} streams loaded)"
@@ -205,44 +193,38 @@ def bench_base_streams(args, configs: list) -> dict:
     return section
 
 
-def bench_backends(args, configs: list) -> dict:
-    """The ``--backend`` modes: per-backend column timing (+ comparison)."""
+def bench_compare(args, configs: list) -> dict:
+    """``--backend compare``: one base per cell vs one shared base per group."""
     cells = sweep_cells(args.workload, configs, args.capacity_sweep, args.sweep_flavor)
     run_config = RunnerConfig(scale=args.scale, num_branches=args.branches)
     lanes = len(cells)
     total_branches = lanes * args.branches
-    backends = (
-        (BACKEND_REFERENCE, BACKEND_BATCHED)
-        if args.backend == "compare"
-        else (args.backend,)
-    )
     label = ", ".join(f"{w}/{n}" for w, n, _ in cells)
-    print(f"backend column: {lanes} lane(s) [{label}]")
-    section = {"lanes": lanes, "cells": [[w, n, o] for w, n, o in cells], "backends": {}}
-    results_by_backend = {}
-    for backend in backends:
-        seconds, results = bench_backend(run_config, args.workload, cells, backend)
-        results_by_backend[backend] = results
+    print(f"compare column: {lanes} lane(s) [{label}]")
+    section = {"lanes": lanes, "cells": [[w, n, o] for w, n, o in cells], "modes": {}}
+    results_by_mode = {}
+    for mode in ("one_base_per_cell", "shared_base"):
+        seconds, results = bench_column(run_config, args.workload, cells, mode)
+        results_by_mode[mode] = results
         rate = total_branches / seconds
-        section["backends"][backend] = {
+        section["modes"][mode] = {
             "seconds": round(seconds, 4),
             "lane_branches_per_second": round(rate),
         }
-        print(f"{backend:>10s}: {seconds:8.3f}s  {rate:>9.0f} lane-branches/s")
-    if args.backend == "compare":
-        assert results_by_backend[BACKEND_REFERENCE] == results_by_backend[BACKEND_BATCHED], (
-            "batched backend diverged from reference"
-        )
-        speedup = (
-            section["backends"][BACKEND_REFERENCE]["seconds"]
-            / section["backends"][BACKEND_BATCHED]["seconds"]
-        )
-        section["speedup"] = round(speedup, 3)
-        print(f"   speedup: x{speedup:.2f} (results bit-identical)")
+        print(f"{mode:>18s}: {seconds:8.3f}s  {rate:>9.0f} lane-branches/s")
+    assert results_by_mode["one_base_per_cell"] == results_by_mode["shared_base"], (
+        "shared-base groups diverged from one base per cell"
+    )
+    speedup = (
+        section["modes"]["one_base_per_cell"]["seconds"]
+        / section["modes"]["shared_base"]["seconds"]
+    )
+    section["speedup"] = round(speedup, 3)
+    print(f"   speedup: x{speedup:.2f} (results bit-identical)")
     return section
 
 
-def append_ledger_record(directory, args, configs, rows, backend_section, base_section, wall):
+def append_ledger_record(directory, args, configs, rows, compare_section, base_section, wall):
     """Append this benchmark run to a run-history ledger (``--ledger``).
 
     The record has no embedded run report (the watchdog treats it as a
@@ -264,10 +246,10 @@ def append_ledger_record(directory, args, configs, rows, backend_section, base_s
         outcome = [{"cells": base_section["cells"]}]
         cells = base_section["lanes"]
     else:
-        timed = backend_section["backends"]
+        timed = compare_section["modes"]
         bps = max(entry["lane_branches_per_second"] for entry in timed.values())
-        outcome = [{"cells": backend_section["cells"]}]
-        cells = backend_section["lanes"]
+        outcome = [{"cells": compare_section["cells"]}]
+        cells = compare_section["lanes"]
     identity = [
         "bench-hotpath|%s|%s|%s|%d|%d" % (mode, args.workload, name, args.branches, args.scale)
         for name in configs
@@ -320,15 +302,15 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--backend", default="kernels",
-        choices=("kernels", "reference", "batched", "compare", "base"),
-        help="what to time: per-config kernels (default), the whole "
-             "config column on one execution backend (compare times both "
-             "and asserts bit-identity), or base: cold-base vs warm-base "
-             "batched passes against one artifact store",
+        choices=("kernels", "compare", "base"),
+        help="what to time: per-config kernels (default); compare: the "
+             "whole config column with one base per cell vs one shared "
+             "base per group (asserts bit-identity); or base: cold-base "
+             "vs warm-base passes against one artifact store",
     )
     parser.add_argument(
         "--capacity-sweep", type=int, default=0, metavar="LANES",
-        help="backend modes only: replace --configs with a LANES-lane "
+        help="compare/base modes only: replace --configs with a LANES-lane "
              "Fig-16 capacity sweep (see --sweep-flavor)",
     )
     parser.add_argument(
@@ -339,8 +321,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--batched-floor", type=float, default=None, metavar="RATIO",
-        help="compare mode only: fail (exit 1) if the batched speedup "
-             "over reference is below RATIO",
+        help="compare mode only: fail (exit 1) if the shared-base speedup "
+             "over one base per cell is below RATIO",
     )
     parser.add_argument(
         "--base-floor", type=float, default=None, metavar="RATIO",
@@ -357,21 +339,21 @@ def main(argv=None) -> int:
     )
 
     bench_start = time.perf_counter()
-    backend_section = None
+    compare_section = None
     base_section = None
     rows = []
     if args.backend == "base":
         base_section = bench_base_streams(args, configs)
-    elif args.backend != "kernels":
-        backend_section = bench_backends(args, configs)
+    elif args.backend == "compare":
+        compare_section = bench_compare(args, configs)
     else:
         runner = Runner(RunnerConfig(scale=args.scale, num_branches=args.branches))
         for name in configs:
             row = bench_config(runner, args.workload, name)
             rows.append(row)
             print(
-                f"{name:>10s}: unfused {row['unfused_branches_per_second']:>8d} br/s  "
-                f"fused {row['fused_branches_per_second']:>8d} br/s  "
+                f"{name:>10s}: predict/update {row['unfused_branches_per_second']:>8d} br/s  "
+                f"step {row['fused_branches_per_second']:>8d} br/s  "
                 f"x{row['speedup']:.2f}  ({row['mispredictions']} mispredictions, identical)"
             )
 
@@ -390,8 +372,8 @@ def main(argv=None) -> int:
         },
         "results": rows,
     }
-    if backend_section is not None:
-        payload["backend_comparison"] = backend_section
+    if compare_section is not None:
+        payload["shared_base_comparison"] = compare_section
     if base_section is not None:
         payload["base_streams"] = base_section
     if args.json:
@@ -404,7 +386,7 @@ def main(argv=None) -> int:
             args,
             configs,
             rows,
-            backend_section,
+            compare_section,
             base_section,
             time.perf_counter() - bench_start,
         )
@@ -426,24 +408,24 @@ def main(argv=None) -> int:
         )
 
     if args.batched_floor is not None:
-        if backend_section is None or "speedup" not in backend_section:
+        if compare_section is None:
             print("FAIL: --batched-floor requires --backend compare", file=sys.stderr)
             return 1
-        if backend_section["speedup"] < args.batched_floor:
+        if compare_section["speedup"] < args.batched_floor:
             print(
-                f"FAIL: batched speedup x{backend_section['speedup']:.2f} "
+                f"FAIL: shared-base speedup x{compare_section['speedup']:.2f} "
                 f"below floor x{args.batched_floor:.2f}",
                 file=sys.stderr,
             )
             return 1
-        print(f"batched floor check passed (x{backend_section['speedup']:.2f} >= x{args.batched_floor:.2f})")
+        print(f"batched floor check passed (x{compare_section['speedup']:.2f} >= x{args.batched_floor:.2f})")
 
     if args.floor is not None:
         slow = [r for r in rows if r["fused_branches_per_second"] < args.floor]
         if slow:
             for row in slow:
                 print(
-                    f"FAIL: {row['config']} fused rate "
+                    f"FAIL: {row['config']} step rate "
                     f"{row['fused_branches_per_second']} br/s below floor {args.floor}",
                     file=sys.stderr,
                 )

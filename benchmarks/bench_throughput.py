@@ -11,12 +11,13 @@ Measures the experiment execution layer itself (not a paper figure):
   bundle construction is skipped), with the warm run asserted to perform
   zero trace generations.  Each run reports its phase breakdown -- bundle
   build vs artifact load vs simulate seconds, and
-* the execution backends: the full matrix and a Fig-16-style capacity
-  sweep timed on the ``reference`` backend vs the config-batched one,
-  results asserted bit-identical before the timings count,
-* persistent base streams: cold-base vs warm-base batched passes over
-  one artifact store with a cold result cache (every cell simulates;
-  the warm pass records zero streams and replays tail-only), on both
+* shared bases: the full matrix and a Fig-16-style capacity sweep timed
+  with one base per cell (``run_one`` per cell) vs shared-base groups
+  (one ``run_cells`` call), results asserted bit-identical before the
+  timings count,
+* persistent base streams: cold-base vs warm-base passes over one
+  artifact store with a cold result cache (every cell simulates; the
+  warm pass records zero streams and replays tail-only), on both
   capacity-sweep shapes -- one shared base and distinct-base
   singletons, and
 * distributed execution: 1-host vs 2-host cooperative drains of one
@@ -61,7 +62,6 @@ from repro.core import (
     TimingStore,
     evaluate_cost_model,
 )
-from repro.core.batched import base_config as base_config_of
 from repro.core.results_io import TIMINGS_FILENAME
 from repro.traces.workloads import clear_trace_cache
 
@@ -207,65 +207,70 @@ def bench_artifacts(config, workloads, configs):
         }
 
 
-def _timed_backend_run(config, backend, run):
-    """One cold, serial run on ``backend``; returns (seconds, results)."""
+def _timed_run(config, run):
+    """One cold, serial run of ``run(runner)``; returns (seconds, results)."""
     clear_trace_cache()
-    runner = Runner(config, backend=backend)
+    runner = Runner(config)
     start = time.perf_counter()
     results = run(runner)
     return time.perf_counter() - start, results
 
 
+def _one_base_per_cell(cells):
+    return lambda runner: [runner.run_one(w, n, **o) for w, n, o in cells]
+
+
 def bench_backends(config, workloads, configs):
-    """Reference vs config-batched execution, bit-identity asserted.
+    """One base per cell vs shared-base groups, bit-identity asserted.
 
     Two shapes: the benchmark matrix itself (each workload's config
-    column becomes one shared-base group), and the Fig-16-style capacity
-    sweep -- ``tsl_64k`` plus six ``llbpx_0lat`` lanes over one bundle --
-    that the batched backend was built for.
+    column shares one base), and the Fig-16-style capacity sweep --
+    ``tsl_64k`` plus six ``llbpx_0lat`` lanes over one bundle -- that
+    shared bases were built for.
     """
     section = {}
+    matrix_cells = [(w, c, {}) for w in workloads for c in configs]
     sweep_cells = [(workloads[0], "tsl_64k", {})] + [
         (workloads[0], "llbpx_0lat", {"num_contexts": contexts, "store_assoc": 64})
         for contexts in (1024, 2048, 4096, 8192, 14336, 32768)
     ]
-    shapes = (
-        ("matrix", lambda runner: runner.run_matrix(workloads, configs, jobs=1)),
-        ("capacity_sweep", lambda runner: runner.run_cells(sweep_cells)),
-    )
-    for shape, run in shapes:
+    for shape, cells in (("matrix", matrix_cells), ("capacity_sweep", sweep_cells)):
         seconds = {}
         results = {}
-        for backend in ("reference", "batched"):
-            seconds[backend], results[backend] = _timed_backend_run(config, backend, run)
-        assert results["reference"] == results["batched"], (
-            f"{shape}: batched backend diverged from reference"
+        seconds["one_base_per_cell"], results["one_base_per_cell"] = _timed_run(
+            config, _one_base_per_cell(cells)
         )
-        speedup = seconds["reference"] / seconds["batched"]
+        seconds["shared_base"], results["shared_base"] = _timed_run(
+            config, lambda runner: runner.run_cells(cells)
+        )
+        assert results["one_base_per_cell"] == results["shared_base"], (
+            f"{shape}: shared-base groups diverged from one base per cell"
+        )
+        speedup = seconds["one_base_per_cell"] / seconds["shared_base"]
         lanes = len(sweep_cells) if shape == "capacity_sweep" else len(configs)
         section[shape] = {
             "lanes_per_group": lanes,
-            "reference_seconds": round(seconds["reference"], 3),
-            "batched_seconds": round(seconds["batched"], 3),
+            "one_base_per_cell_seconds": round(seconds["one_base_per_cell"], 3),
+            "shared_base_seconds": round(seconds["shared_base"], 3),
             "speedup": round(speedup, 3),
         }
         print(
-            f"backends/{shape}: reference {seconds['reference']:.2f}s -> "
-            f"batched {seconds['batched']:.2f}s (x{speedup:.2f}, bit-identical)"
+            f"backends/{shape}: one base per cell {seconds['one_base_per_cell']:.2f}s -> "
+            f"shared base {seconds['shared_base']:.2f}s (x{speedup:.2f}, bit-identical)"
         )
     return section
 
 
 def bench_base_streams(config, workloads, configs):
-    """Cold-base vs warm-base batched execution, bit-identity asserted.
+    """Cold-base vs warm-base execution, bit-identity asserted.
 
     Both sweep shapes from ``bench_hotpath.py``: seven lanes sharing one
     base (``llbpx`` flavor -- the recording amortises over the group, so
     warm mostly saves the one record pass) and seven distinct-base TSL
-    presets (``tsl`` flavor -- cold demotes every singleton to
-    reference, warm replays each tail-only; this is the shape the
-    persistent store exists for).  The result cache is cold in every
-    pass: the delta is pure base-stream work.
+    presets (``tsl`` flavor -- cold records one stream per lone cell,
+    warm replays each tail-only; this is the shape the persistent store
+    exists for).  The result cache is cold in every pass: the delta is
+    pure base-stream work.
     """
     sys.path.insert(0, str(Path(__file__).resolve().parent))
     from bench_hotpath import TSL_SWEEP_PRESETS
@@ -277,26 +282,18 @@ def bench_base_streams(config, workloads, configs):
     ]
     distinct_cells = [(workloads[0], name, {}) for name in TSL_SWEEP_PRESETS]
     for shape, cells in (("shared_base", shared_cells), ("distinct_bases", distinct_cells)):
-        bases = []
-        for _, name, _ in cells:
-            base = base_config_of(name, config.scale)
-            if base is not None and base not in bases:
-                bases.append(base)
         seconds = {}
         results = {}
         with tempfile.TemporaryDirectory(prefix="repro-bench-base-") as artifact_dir:
             for mode in ("cold", "warm"):
                 clear_trace_cache()
                 store = ArtifactStore(artifact_dir)
-                runner = Runner(config, backend="batched", artifacts=store)
+                runner = Runner(config, artifacts=store)
                 runner.bundle(workloads[0])  # untimed, same for both modes
                 start = time.perf_counter()
                 results[mode] = runner.run_cells(cells, release_bundles=False)
                 seconds[mode] = time.perf_counter() - start
-                if mode == "cold":
-                    # untimed top-up for lanes that fell back to reference
-                    store.warm_bases([workloads[0]], config, bases)
-                else:
+                if mode == "warm":
                     assert store.base_writes == 0, "warm pass re-recorded a stream"
                     assert store.base_loads >= 1, "warm pass loaded nothing"
         assert results["cold"] == results["warm"], (
@@ -531,17 +528,18 @@ def main(argv=None) -> int:
             "bundles mmap from the store). phases split wall-clock into "
             "bundle build / artifact load / simulate (jobs=1 runs only; "
             "parallel runs spend these inside workers). matrix runs use the "
-            "default auto backend (shared-base groups per workload column); "
-            "backends compares reference vs config-batched serial execution "
-            "on the matrix and on a 7-lane Fig-16 capacity sweep, with "
-            "results asserted bit-identical. batched gains scale with lane "
-            "count and base-config share of lane cost, not with core count. "
-            "base_streams compares cold-base vs warm-base batched passes "
+            "default path (shared-base groups per workload column); "
+            "backends compares one base per cell (run_one per cell) vs "
+            "shared-base groups (one run_cells call) serially on the matrix "
+            "and on a 7-lane Fig-16 capacity sweep, with results asserted "
+            "bit-identical. shared-base gains scale with lane count and "
+            "base share of lane cost, not with core count. "
+            "base_streams compares cold-base vs warm-base passes "
             "over one artifact store with a cold result cache (every cell "
             "simulates; the warm pass records zero streams). shared_base is "
             "the 7-lane one-base sweep, where warm only saves the single "
             "record pass; distinct_bases is seven TSL presets, each its own "
-            "base, where cold demotes every singleton to reference and warm "
+            "base, where cold records one stream per lone cell and warm "
             "replays each tail-only -- the persistent store's target shape. "
             "distributed compares 1 vs 2 cooperating host processes draining "
             "one cold shared store via ledger claims (zero duplicate "

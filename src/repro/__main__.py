@@ -119,7 +119,6 @@ def _make_runner(args: argparse.Namespace) -> Runner:
         cache=cache,
         artifacts=artifacts,
         retry_policy=policy,
-        backend=getattr(args, "backend", None),
     )
     if artifacts is not None and getattr(args, "warm_artifacts", False):
         built = artifacts.warm(WORKLOAD_NAMES, runner.config)
@@ -494,7 +493,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         events_dir=args.events_dir,
         branches=args.branches,
         scale=args.scale,
-        backend=args.backend,
         jobs=args.jobs,
         quota=args.quota,
         retries=args.retries,
@@ -525,7 +523,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         "configs": args.config,
         "branches": args.branches,
         "scale": args.scale,
-        "backend": args.backend,
         "jobs": args.jobs,
         "priority": args.priority,
     }
@@ -665,13 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-identical)",
     )
     common.add_argument(
-        "--backend", choices=("auto", "reference", "batched"), default="auto",
-        help="execution backend: 'batched' runs cells sharing a trace bundle and "
-        "base TAGE config over one shared base (bit-identical results), "
-        "'reference' forces the per-cell fused kernels, 'auto' (default) "
-        "batches whenever a group of uncached cells shares a batchable base",
-    )
-    common.add_argument(
         "--cache-dir", default=None,
         help="persistent result-cache directory; repeat invocations skip finished simulations",
     )
@@ -807,10 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--scale", type=int, default=8, help="capacity scale (DESIGN.md §1)")
     p_submit.add_argument(
         "--jobs", type=int, default=1, help="worker processes the daemon uses for this job"
-    )
-    p_submit.add_argument(
-        "--backend", choices=("auto", "reference", "batched"), default="auto",
-        help="execution backend for this job (results are bit-identical)",
     )
     p_submit.add_argument(
         "--priority", type=int, default=0,

@@ -43,24 +43,11 @@ from repro.core.results_io import (
     result_to_dict,
     save_results,
 )
-from repro.core.simulator import (
-    BACKEND_AUTO,
-    BACKEND_BATCHED,
-    BACKEND_REFERENCE,
-    BACKENDS,
-    Predictor,
-    SimulationResult,
-    resolve_backend,
-    simulate,
-)
+from repro.core.simulator import Predictor, SimulationResult, simulate
 
 __all__ = [
     "ARTIFACT_FORMAT_VERSION",
     "ArtifactStore",
-    "BACKENDS",
-    "BACKEND_AUTO",
-    "BACKEND_BATCHED",
-    "BACKEND_REFERENCE",
     "BatchPlan",
     "BundleArtifacts",
     "CellExecutionError",
@@ -106,7 +93,6 @@ __all__ = [
     "parse_fault_spec",
     "plan_batches",
     "reduction",
-    "resolve_backend",
     "result_from_dict",
     "result_key",
     "result_to_dict",

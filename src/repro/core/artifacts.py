@@ -387,12 +387,12 @@ class ArtifactStore:
         """Pre-record base streams for every (workload, base config) pair.
 
         Returns ``(built, skipped)`` -- pairs whose stream already exists
-        (or whose config is not batchable) are skipped.  Recording goes
-        through the same :class:`SharedBase` pass the batched backend
-        runs, so a later run adopts these streams bit-identically.
+        are skipped.  Recording goes through the same :class:`SharedBase`
+        pass a group runs, so a later run adopts these streams
+        bit-identically.
         """
         from repro.core.runner import Runner
-        from repro.tage.batched_state import SharedBase, batchable_config
+        from repro.tage.batched_state import SharedBase
 
         base_configs = list(base_configs)
         built = 0
@@ -400,9 +400,7 @@ class ArtifactStore:
         runner = Runner(config, artifacts=self)
         for workload in workloads:
             for base_cfg in base_configs:
-                if not batchable_config(base_cfg) or self.has_base_stream(
-                    workload, config, base_cfg
-                ):
+                if self.has_base_stream(workload, config, base_cfg):
                     skipped += 1
                     continue
                 bundle = runner.bundle(workload)

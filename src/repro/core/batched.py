@@ -1,145 +1,146 @@
-"""Config-batched execution engine: shared-base groups over one bundle.
+"""Shared-base groups: one base stream per bundle and base config, one tail per lane.
 
-The batched backend exploits the lane-invariance of the TAGE core and
-loop predictor (see :mod:`repro.tage.batched_state`): matrix cells over
-one workload bundle whose predictors share a base
-:class:`~repro.tage.config.TageConfig` -- a Fig-16 capacity sweep's
-LLBP-X lanes, or a ``tsl_64k``/``llbp``/``llbpx`` column -- are executed
-as one *group*.  The group pays the shared TAGE+loop base exactly once
-(recording its per-branch outputs), then runs each lane as a replay tail
-over only that lane's divergent state (SC, pattern store/buffer, CTT).
-With an :class:`~repro.core.artifacts.ArtifactStore` attached the
-recording is persisted and the base is paid once *ever* per (bundle,
-base config): later runs -- and peer ``--join`` hosts -- adopt the
-stored stream and run tail-only, including warm singletons.
+Every simulated cell runs as a lane tail over a TAGE+loop base stream
+(see :mod:`repro.tage.batched_state`).  Cells over one workload bundle
+whose predictors share a base :class:`~repro.tage.config.TageConfig` --
+a Fig-16 capacity sweep's LLBP-X lanes, or a ``tsl_64k``/``llbp``/
+``llbpx`` column -- run as one *group*: the group records the base
+stream once, then runs each lane's tail over it (SC, pattern
+store/buffer, CTT).  A lone cell is a one-lane group.  With an
+:class:`~repro.core.artifacts.ArtifactStore` attached the recording is
+persisted and the base is paid once *ever* per (bundle, base config):
+later runs -- and peer ``--join`` hosts -- adopt the stored stream and
+run tail-only.
 
-Why record/replay rather than the numpy-stacked lane state the ROADMAP
-sketched: at realistic lane counts (2-8) the per-branch cost of even one
-vectorised gather/scatter (~0.5-1us in numpy) exceeds the whole fused
-Python step, so stacking loses throughput while record/replay removes
-the genuinely redundant work -- the shared base is ~55% of a fused TSL
-step and every lane of a group repeats it.  The numpy array holding the
-recorded stream *is* the stacked state's degenerate (shared) axis; the
-divergent structures stay as the reference implementations so
-bit-identity is by construction, pinned by
-``tests/test_batched_equivalence.py``.
+Why record/replay rather than numpy-stacked lane state: at realistic
+lane counts (2-8) the per-branch cost of even one vectorised
+gather/scatter (~0.5-1us in numpy) exceeds a whole Python tail step,
+so stacking loses throughput, while record/replay removes the genuinely
+redundant work -- the base is ~55% of a TSL step and every lane of a
+group would repeat it.  The numpy array holding the recorded stream *is*
+the stacked state's degenerate (shared) axis.
 
-Structurally divergent configurations -- infinite-capacity cells
-(``tsl_inf``) and the profile-then-replay ``llbpx_optw`` -- cannot share
-a base and fall back lane-by-lane to the reference backend
-(``backend.fallbacks`` counts them).
+``llbpx_optw`` has no base config of its own here: it is its own task,
+whose three LLBP-X passes share one base (``Runner._run_optw``).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.llbp.batched_state import build_llbp_tail
-from repro.obs.metrics import registry as obs_registry
-from repro.obs.sampling import active_sampler
-from repro.obs.spans import span
 from repro.core.simulator import SimulationResult, simulate
-from repro.tage.batched_state import SharedBase, batchable_config
-from repro.tage.config import TageConfig, preset_by_name, tsl_64k
+from repro.llbp.config import LLBPConfig, llbp_default, llbpx_default
+from repro.obs.metrics import registry as obs_registry
+from repro.obs.spans import span
+from repro.tage.batched_state import SharedBase
+from repro.tage.config import TageConfig, preset_by_name
 
 if TYPE_CHECKING:
     from repro.core.runner import Cell, Runner
 
-#: LLBP-family configurations that run on the shared ``tsl_64k`` base
-BATCHABLE_LLBP = ("llbp", "llbp_0lat", "llbpx", "llbpx_0lat")
+#: LLBP-family configuration names -> config factory; all run over the
+#: 64K TSL, and ``llbpx_optw``'s passes are built from the llbpx config
+LLBP_FAMILY = {
+    "llbp": llbp_default,
+    "llbp_0lat": llbp_default,
+    "llbpx": llbpx_default,
+    "llbpx_0lat": llbpx_default,
+    "llbpx_optw": llbpx_default,
+}
+
+
+def resolve_configs(
+    name: str, scale: int, overrides: Optional[Mapping[str, object]] = None
+) -> Tuple[TageConfig, Optional[LLBPConfig]]:
+    """The ``(base TageConfig, LLBP/LLBP-X config)`` a named cell runs.
+
+    The design config is ``None`` for a TSL preset, and carries the
+    cell's ``overrides`` otherwise.  ``Runner.build_predictor`` and the
+    result-cache key both resolve through here, so the key always covers
+    the configuration that actually ran.  Raises ``KeyError`` for an
+    unknown name.
+    """
+    if name.startswith("tsl_"):
+        return preset_by_name(name, scale=scale), None
+    if name not in LLBP_FAMILY:
+        raise KeyError(f"unknown predictor configuration {name!r}")
+    factory = LLBP_FAMILY[name]
+    overrides = dict(overrides or {})
+    if name.endswith("_0lat"):
+        design = replace(factory(scale=scale, zero_latency=True, **overrides), name=name)
+    else:
+        design = factory(scale=scale, **overrides)
+    return preset_by_name("tsl_64k", scale=scale), design
 
 
 def base_config(name: str, scale: int) -> Optional[TageConfig]:
-    """The shared-base TAGE configuration of a cell, or ``None``.
+    """The base TAGE configuration a cell's tail replays, or ``None``.
 
-    ``None`` marks a structurally non-batchable cell: infinite-capacity
-    presets, the multi-pass ``llbpx_optw``, and unknown names -- all of
-    which the caller must route to the reference backend.
+    ``None`` marks the cells that are not grouped: ``llbpx_optw`` (its
+    own task) and unknown names.
     """
-    if name.startswith("tsl_"):
-        try:
-            config = preset_by_name(name, scale=scale)
-        except KeyError:
-            return None
-        return config if batchable_config(config) else None
-    if name in BATCHABLE_LLBP:
-        return tsl_64k(scale=scale)
-    return None
+    if name == "llbpx_optw":
+        return None
+    try:
+        return resolve_configs(name, scale)[0]
+    except KeyError:
+        return None
 
 
 @dataclass
 class BatchPlan:
-    """Partition of one workload's cells into batched groups and the rest.
+    """Partition of cells into shared-base groups and ungrouped cells.
 
-    ``groups`` hold cells sharing a base config (each a batched task);
-    ``singles`` run on the reference backend; ``fallbacks`` counts the
-    structurally non-batchable cells among the singles (the
-    ``backend.fallbacks`` metric).
+    ``groups`` hold cells of one workload sharing a base config (each a
+    task); ``singles`` are the cells without one.
     """
 
     groups: List[List["Cell"]]
     singles: List["Cell"]
-    fallbacks: int
+
+    @property
+    def fallbacks(self) -> int:
+        """Ungrouped cells (the ``backend.fallbacks`` metric)."""
+        return len(self.singles)
 
     @property
     def lanes(self) -> int:
         return sum(len(group) for group in self.groups)
 
 
-def plan_batches(
-    cells: Sequence["Cell"],
-    scale: int,
-    min_lanes: int = 2,
-    base_warm: Optional[Callable[[str, TageConfig], bool]] = None,
-) -> BatchPlan:
-    """Group one workload's cells by shared base configuration.
+def plan_batches(cells: Sequence["Cell"], scale: int) -> BatchPlan:
+    """Group cells by workload and shared base configuration.
 
-    ``min_lanes`` is the smallest group worth batching: ``auto`` uses 2
-    (a *cold* singleton gains nothing over reference), forcing
-    ``batched`` uses 1 so even lone cells exercise the batched engine.
-    ``base_warm(workload, base_config)`` relaxes the floor per group: a
-    singleton whose base stream is already persisted runs tail-only --
-    replaying a loaded stream beats re-simulating the base, so the warm
-    path batches it regardless of ``min_lanes``.  Order inside a group
-    and among singles follows first appearance.
+    Every cell with a base config joins a group, so a lone cell is a
+    one-lane group.  Order inside a group and among singles follows
+    first appearance.
     """
-    by_base: Dict[TageConfig, List["Cell"]] = {}
+    by_base: Dict[Tuple[str, TageConfig], List["Cell"]] = {}
     singles: List["Cell"] = []
-    fallbacks = 0
     for cell in cells:
         config = base_config(cell[1], scale)
         if config is None:
             singles.append(cell)
-            fallbacks += 1
         else:
-            by_base.setdefault(config, []).append(cell)
-    groups: List[List["Cell"]] = []
-    for config, grouped in by_base.items():
-        if len(grouped) >= min_lanes or (
-            base_warm is not None and base_warm(grouped[0][0], config)
-        ):
-            groups.append(grouped)
-        else:
-            singles.extend(grouped)
-    return BatchPlan(groups=groups, singles=singles, fallbacks=fallbacks)
+            by_base.setdefault((cell[0], config), []).append(cell)
+    return BatchPlan(groups=list(by_base.values()), singles=singles)
 
 
 @dataclass
 class LaneOutcome:
-    """One lane's result within a batched group.
+    """One lane's result within a group.
 
     ``seconds`` is the lane's attributable wall time: its own tail
-    simulation plus an equal share of the group's shared-base pass --
-    the number the :class:`~repro.core.results_io.TimingStore` observes
-    under the ``batched`` backend key.
+    simulation plus an equal share of the group's base pass -- the
+    number the :class:`~repro.core.results_io.TimingStore` observes
+    under the ``batched`` (or ``batched+warm``) key.
     """
 
     cell: "Cell"
     result: SimulationResult
     seconds: float
-    backend: str = "batched"
     #: whether the group's base stream was adopted from the artifact
     #: store (tail-only replay) instead of freshly recorded
     base_warm: bool = False
@@ -149,7 +150,7 @@ class LaneOutcome:
 
 
 def run_group(runner: "Runner", workload: str, cells: Sequence["Cell"]) -> List[LaneOutcome]:
-    """Execute one batched group: shared base once, then each lane's tail.
+    """Execute one group: the base once, then each lane's tail.
 
     Every cell must share ``base_config`` (callers use
     :func:`plan_batches`).  When the runner has an artifact store and it
@@ -157,17 +158,14 @@ def run_group(runner: "Runner", workload: str, cells: Sequence["Cell"]) -> List[
     entirely -- the stream is adopted ``mmap``-backed and only the lane
     tails run; a freshly recorded stream is persisted for every later
     run.  Per-lane *results* -- counts, stats, extra -- are bit-identical
-    to the reference backend either way; final predictor *table state*
-    matches only on the record path (an adopted base leaves the shared
-    core/loop untrained, which tails never read).  Span names
-    ``cell``/``simulate`` match the reference path (with a ``backend``
-    attribute) so observability tooling sees one tree shape regardless
-    of backend.
+    either way; final predictor *table state* matches a predictor that
+    ran its own base only on the record path (an adopted base leaves the
+    core/loop untrained, which tails never read).
     """
     cells = list(cells)
     config = base_config(cells[0][1], runner.config.scale)
     if config is None:
-        raise ValueError(f"cell {cells[0][1]!r} has no batchable base config")
+        raise ValueError(f"cell {cells[0][1]!r} has no base config to group on")
     registry = obs_registry()
     outcomes: List[LaneOutcome] = []
     with span("backend.batched", workload=workload, lanes=len(cells), base=config.name):
@@ -196,22 +194,12 @@ def run_group(runner: "Runner", workload: str, cells: Sequence["Cell"]) -> List[
         registry.counter("backend.batched.groups").inc()
         registry.counter("backend.batched.lanes").inc(len(cells))
         registry.histogram("backend.batched.group_lanes").observe(len(cells))
-        sampler = active_sampler()
         for cell in cells:
             _, name, overrides = cell
-            with span("cell", workload=workload, config=name, backend="batched"):
+            with span("cell", workload=workload, config=name):
                 lane_start = time.perf_counter()
-                predictor = runner.build_predictor(name, bundle, shared_base=shared, **overrides)
-                if name.startswith("tsl_"):
-                    tail = shared.build_tsl_tail(predictor)
-                else:
-                    tail = build_llbp_tail(predictor, shared)
-                if sampler is not None:
-                    tail = sampler.instrument(name, tail, predictor.telemetry_sample)
-                # the tail *replaces* the default kernel: the lane's own
-                # step closure would advance the shared core a second time
-                predictor.step = tail
-                with span("simulate", workload=workload, config=name, backend="batched"):
+                predictor = runner.build_predictor(name, bundle, base=shared, **overrides)
+                with span("simulate", workload=workload, config=name):
                     result = simulate(
                         predictor,
                         bundle.trace,

@@ -4,12 +4,13 @@ The parallel scheduler orders cells longest-expected-first, so makespan
 shrinks directly with estimate quality (a mis-ranked long cell strands a
 core on the matrix tail).  Three estimate tiers live here, best first:
 
-1. **Observed EMA** -- a cell that has run before under this backend is
-   predicted by its own persisted timing (:class:`TimingStore`).
+1. **Observed EMA** -- a cell that has run before under this timing key
+   (recorded base or adopted base) is predicted by its own persisted
+   timing (:class:`TimingStore`).
 2. **Learned model** -- for *unseen* cells, a ridge regression fit on
    the store's sample corpus predicts ``log(seconds)`` from cheap
-   features: trace length, configuration weight and capacity, execution
-   backend, and the workload's structural densities (conditional share,
+   features: trace length, configuration weight and capacity, timing
+   key, and the workload's structural densities (conditional share,
    H2P density, context diversity from
    :func:`repro.traces.characterize.workload_features`).  This is the
    Gem5Pred observation applied to our simulator: simulation time is an
@@ -35,8 +36,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.faults import stale_temp
-from repro.core.results_io import COSTMODEL_FILENAME, TimingStore
-from repro.core.simulator import BACKEND_BATCHED, BACKEND_REFERENCE
+from repro.core.results_io import COSTMODEL_FILENAME, LEGACY_TIMING_KEY, TimingStore
 from repro.obs.log import get_logger
 
 logger = get_logger("costmodel")
@@ -65,10 +65,11 @@ CONFIG_WEIGHTS: Tuple[Tuple[str, float], ...] = (
 #: units as observed timings
 _SECONDS_PER_BRANCH = 1e-5
 
-#: timing/observation key of a batched lane replaying a *persisted* base
-#: stream (tail-only, no base pass) -- the warm flag rides inside the
-#: backend string so :class:`TimingStore` signatures stay untouched
-BASE_WARM_BACKEND = "batched+warm"
+#: timing/observation key of a lane whose group recorded its base stream
+BATCHED_KEY = "batched"
+#: timing/observation key of a lane replaying a *persisted* base stream
+#: (tail-only, no base pass)
+BASE_WARM_KEY = "batched+warm"
 
 #: regression feature names, in design-matrix column order
 FEATURE_NAMES: Tuple[str, ...] = (
@@ -112,7 +113,7 @@ def config_capacity_kb(name: str) -> float:
     return 64.0
 
 
-def feature_vector(workload: str, name: str, backend: str, branches: int) -> List[float]:
+def feature_vector(workload: str, name: str, key: str, branches: int) -> List[float]:
     """Design-matrix row for one cell (order matches :data:`FEATURE_NAMES`).
 
     Raises ``KeyError`` for a workload the generator does not know --
@@ -127,8 +128,8 @@ def feature_vector(workload: str, name: str, backend: str, branches: int) -> Lis
         math.log(config_weight(name)),
         math.log(config_capacity_kb(name)),
         # "batched+warm" is a batched execution too (startswith covers it)
-        1.0 if backend.startswith(BACKEND_BATCHED) else 0.0,
-        1.0 if backend == BASE_WARM_BACKEND else 0.0,
+        1.0 if key.startswith(BATCHED_KEY) else 0.0,
+        1.0 if key == BASE_WARM_KEY else 0.0,
         profile["cond_share"],
         profile["h2p_density"],
         profile["context_diversity"],
@@ -178,32 +179,32 @@ class CostModel:
         return num_branches * config_weight(name) * _SECONDS_PER_BRANCH
 
     def estimate(
-        self, workload: str, name: str, num_branches: int, backend: str = BACKEND_REFERENCE
+        self, workload: str, name: str, num_branches: int, key: str = BATCHED_KEY
     ) -> float:
-        """Expected seconds of one cell under ``backend``.
+        """Expected seconds of one cell under timing ``key``.
 
-        Observed timings are backend-keyed (a batched lane's attributable
-        cost differs systematically from a reference execution, and a
-        warm tail-only replay from both); lookups fall back along
-        ``batched+warm -> batched -> reference`` -- each step an
-        overestimate, which only makes the scheduler start the work
-        earlier -- before the static estimate.
+        Observed timings are keyed (a warm tail-only replay costs
+        systematically less than record + tail); lookups fall back along
+        ``batched+warm -> batched -> reference`` (the legacy key of
+        observations from before lanes ran over base streams) -- each
+        step an overestimate, which only makes the scheduler start the
+        work earlier -- before the static estimate.
         """
         if self.timings is not None:
-            observed = self._observed(workload, name, backend)
+            observed = self._observed(workload, name, key)
             if observed is not None:
                 return observed
         return self.static_estimate(name, num_branches)
 
-    def _observed(self, workload: str, name: str, backend: str) -> Optional[float]:
-        """Backend-keyed EMA lookup with the warm->batched->reference chain."""
+    def _observed(self, workload: str, name: str, key: str) -> Optional[float]:
+        """Keyed EMA lookup with the warm->batched->legacy chain."""
         if self.timings is None:
             return None
-        observed = self.timings.get(workload, name, backend)
-        if observed is None and backend == BASE_WARM_BACKEND:
-            observed = self.timings.get(workload, name, BACKEND_BATCHED)
-        if observed is None and backend != BACKEND_REFERENCE:
-            observed = self.timings.get(workload, name)
+        observed = self.timings.get(workload, name, key)
+        if observed is None and key == BASE_WARM_KEY:
+            observed = self.timings.get(workload, name, BATCHED_KEY)
+        if observed is None and key != LEGACY_TIMING_KEY:
+            observed = self.timings.get(workload, name, LEGACY_TIMING_KEY)
         return observed
 
     def observe(
@@ -211,11 +212,11 @@ class CostModel:
         workload: str,
         name: str,
         seconds: float,
-        backend: str = BACKEND_REFERENCE,
+        key: str = BATCHED_KEY,
         branches: Optional[int] = None,
     ) -> None:
         if self.timings is not None:
-            self.timings.observe(workload, name, seconds, backend, branches=branches)
+            self.timings.observe(workload, name, seconds, key, branches=branches)
 
     def save(self) -> None:
         if self.timings is not None:
@@ -333,16 +334,16 @@ class LearnedCostModel(CostModel):
     # -- estimation ---------------------------------------------------------
 
     def estimate(
-        self, workload: str, name: str, num_branches: int, backend: str = BACKEND_REFERENCE
+        self, workload: str, name: str, num_branches: int, key: str = BATCHED_KEY
     ) -> float:
         if self.timings is not None:
-            observed = self._observed(workload, name, backend)
+            observed = self._observed(workload, name, key)
             if observed is not None:
                 return observed
         self._ensure_model()
         if self._coef is not None:
             try:
-                row = feature_vector(workload, name, backend, num_branches)
+                row = feature_vector(workload, name, key, num_branches)
             except KeyError:
                 return self.static_estimate(name, num_branches)
             log_seconds = sum(c * x for c, x in zip(self._coef, row))

@@ -63,15 +63,15 @@ def run_limit_study(
 ) -> List[LimitStep]:
     """Run the ladder, averaging MPKI across ``workloads`` per rung.
 
-    ``jobs > 1`` pre-simulates every (workload, rung) cell in parallel;
-    the ladder then reads memoised results.
+    Every (workload, rung) cell runs first through ``run_cells`` (over
+    ``jobs`` workers, grouping rungs that share a base); the ladder then
+    reads memoised results.
     """
     indices = list(steps) if steps is not None else list(range(len(LIMIT_STEPS)))
-    if jobs > 1:
-        runner.run_cells(
-            [(w, "llbp_0lat", cumulative_overrides(i)) for i in indices for w in workloads],
-            jobs=jobs,
-        )
+    runner.run_cells(
+        [(w, "llbp_0lat", cumulative_overrides(i)) for i in indices for w in workloads],
+        jobs=jobs,
+    )
     results: List[LimitStep] = []
     baseline_mpki: Optional[float] = None
     previous_mpki: Optional[float] = None

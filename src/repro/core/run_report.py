@@ -46,8 +46,7 @@ class CellReport:
     config: str
     overrides: str = ""
     source: str = ""  # "cached" | "simulated" | "" (never resolved)
-    backend: str = ""  # "reference" | "batched" | "" (cached / never resolved)
-    #: batched lane that adopted a persisted base stream (tail-only replay)
+    #: lane that adopted a persisted base stream (tail-only replay)
     base_warm: bool = False
     attempts: int = 0
     retries: int = 0
@@ -61,7 +60,6 @@ class CellReport:
             "config": self.config,
             "overrides": self.overrides,
             "source": self.source,
-            "backend": self.backend,
             "base_warm": self.base_warm,
             "attempts": self.attempts,
             "retries": self.retries,
@@ -164,20 +162,16 @@ class RunReport:
         config: str,
         overrides: Optional[Mapping[str, object]],
         seconds: float,
-        backend: str = "reference",
         base_warm: bool = False,
     ) -> None:
         entry = self.cell(workload, config, overrides)
         entry.source = "simulated"
-        entry.backend = backend
         entry.base_warm = base_warm
         entry.seconds += seconds
-        emit_event(
-            "cell-success", workload=workload, config=config, seconds=seconds, backend=backend
-        )
+        emit_event("cell-success", workload=workload, config=config, seconds=seconds)
 
     def record_batched_group(self, lanes: int) -> None:
-        """A batched group of ``lanes`` cells executed over one shared base."""
+        """A group of ``lanes`` cells executed over one base stream."""
         self.batched_group_sizes.append(int(lanes))
         emit_event("batched-group", lanes=lanes)
 

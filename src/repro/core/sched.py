@@ -13,8 +13,8 @@ proved (:mod:`repro.core.faults`):
   is the cell's cache digest, so the claim namespace and the result
   namespace can never disagree.
 * **Publish** -- the claimant simulates the cell through the ordinary
-  backend-aware pipeline (:meth:`Runner.run_cells` -- parallel pool,
-  batched groups, retries, artifact store, all of it) and the result
+  pipeline (:meth:`Runner.run_cells` -- parallel pool, shared-base
+  groups, retries, artifact store, all of it) and the result
   reaches the shared cache *before* the claim is released, so peers
   never observe a completed cell as both unclaimed and uncached.  With
   a shared artifact store attached, the same ordering covers base
@@ -255,7 +255,6 @@ def drain_cooperative(
     runner,
     cells: Sequence[Cell],
     jobs: int = 1,
-    backend: Optional[str] = None,
 ) -> Iterator[Tuple[Cell, "SimulationResult"]]:
     """Drain uncached ``cells`` cooperatively; yields ``(cell, result)``.
 
@@ -286,9 +285,7 @@ def drain_cooperative(
     report.cost_model_kind = getattr(model, "kind", "heuristic")
     ranked = sorted(
         cells,
-        key=lambda cell: model.estimate(
-            cell[0], cell[1], runner.config.num_branches, runner.backend
-        ),
+        key=lambda cell: model.estimate(cell[0], cell[1], runner.config.num_branches),
         reverse=True,
     )
     remaining: Dict[str, Cell] = {
@@ -379,7 +376,7 @@ def drain_cooperative(
                     "cell-claim", host=ledger.host_id, workload=workload, config=name
                 )
                 predicted.append(
-                    model.estimate(workload, name, runner.config.num_branches, runner.backend)
+                    model.estimate(workload, name, runner.config.num_branches)
                 )
 
             # 4. simulate through the ordinary pipeline (coop disabled so the
@@ -392,9 +389,7 @@ def drain_cooperative(
             before = [report.cell(*cell).seconds for _, cell in claimed]
             preds_before = len(report.predictions)
             try:
-                results = runner.run_cells(
-                    [cell for _, cell in claimed], jobs=jobs, backend=backend
-                )
+                results = runner.run_cells([cell for _, cell in claimed], jobs=jobs)
             finally:
                 runner.coop = coop
             if len(report.predictions) == preds_before:

@@ -8,13 +8,13 @@ prediction)`` and ``on_unconditional(t, pc, target)`` can be simulated,
 which is exactly the interface of :class:`repro.tage.TageSCL` and the
 LLBP wrappers.
 
-Predictors may additionally expose a fused ``step(t, pc, taken) ->
+Predictors may additionally expose a ``step(t, pc, taken) ->
 mispredicted`` kernel performing lookup and training in one call; when
-present the loop drives it instead of ``predict``/``update``, avoiding
-one per-branch prediction-record allocation and a second method dispatch.
-All shipped predictors build their ``step`` as a closure with state
-hoisted into locals (see ``TageCore._build_fused_step``); the two paths
-are bit-identical (``tests/test_step_equivalence.py``).
+present the loop drives it instead of ``predict``/``update``.  Every
+shipped predictor's ``step`` is its lane tail over a recorded TAGE+loop
+base stream (:mod:`repro.tage.batched_state`); ``predict``/``update``
+drive the same components live and are the oracle the tails are tested
+against (``tests/test_step_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -25,31 +25,6 @@ from typing import Dict, Optional, Protocol
 from repro.common.stats import mpki
 from repro.tage.streams import TraceTensors
 from repro.traces.record import Trace
-
-# -- execution backends ------------------------------------------------------
-#
-# ``reference`` drives each cell's own fused step kernel -- the path every
-# result in the repo was originally produced with.  ``batched`` executes
-# groups of cells sharing a trace bundle and a base TageConfig through the
-# shared-base engine in ``repro.core.batched`` (bit-identical; pinned by
-# tests/test_batched_equivalence.py).  ``auto`` picks batched per group
-# whenever at least two uncached cells share a batchable base, and falls
-# back to reference for the rest.
-
-BACKEND_REFERENCE = "reference"
-BACKEND_BATCHED = "batched"
-BACKEND_AUTO = "auto"
-BACKENDS = (BACKEND_AUTO, BACKEND_REFERENCE, BACKEND_BATCHED)
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Validate a backend selector, defaulting ``None`` to ``auto``."""
-    if backend is None:
-        return BACKEND_AUTO
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}")
-    return backend
-
 
 class Predictor(Protocol):
     """Structural interface the simulation loop drives."""
@@ -107,9 +82,9 @@ def simulate(
     counted, mirroring the paper's warmup/measurement split.
 
     ``use_step`` selects the hot-path kernel: ``None`` (default) uses the
-    predictor's fused ``step`` when it has one, ``True`` requires it, and
-    ``False`` forces the two-call ``predict``/``update`` path (useful for
-    equivalence testing and for callers that need prediction records).
+    predictor's ``step`` when it has one, ``True`` requires it, and
+    ``False`` forces the two-call ``predict``/``update`` path (the test
+    oracle; it never records a base stream).
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")

@@ -43,8 +43,7 @@ def _run_machine(
             warmup_fraction=base_runner_config.warmup_fraction,
         )
     )
-    if jobs > 1:
-        runner.run_cells([(w, "tsl_64k", {}) for w in workloads], jobs=jobs)
+    runner.run_cells([(w, "tsl_64k", {}) for w in workloads], jobs=jobs)
     rows = []
     for workload in workloads:
         result = runner.run_one(workload, "tsl_64k")

@@ -32,10 +32,9 @@ def run_fig04(
     jobs: int = 1,
 ) -> List[Fig4Row]:
     names = list(workloads) if workloads is not None else default_workloads("all")
-    if jobs > 1:
-        runner.run_cells(
-            [(w, c, {}) for w in names for c in ("tsl_64k", *configs)], jobs=jobs
-        )
+    runner.run_cells(
+        [(w, c, {}) for w in names for c in ("tsl_64k", *configs)], jobs=jobs
+    )
     rows: List[Fig4Row] = []
     for workload in names:
         base = runner.run_one(workload, "tsl_64k")

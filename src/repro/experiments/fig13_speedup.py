@@ -34,10 +34,9 @@ def run_fig13(
     jobs: int = 1,
 ) -> List[Fig13Row]:
     names = list(workloads) if workloads is not None else default_workloads("gem5")
-    if jobs > 1:
-        runner.run_cells(
-            [(w, c, {}) for w in names for c in ("tsl_64k", *configs)], jobs=jobs
-        )
+    runner.run_cells(
+        [(w, c, {}) for w in names for c in ("tsl_64k", *configs)], jobs=jobs
+    )
     machine = table_ii_machine()
     rows: List[Fig13Row] = []
     for workload in names:

@@ -33,18 +33,17 @@ def run_fig14a(
     runner: Runner, workloads: Optional[Sequence[str]] = None, jobs: int = 1
 ) -> List[Fig14aResult]:
     names = list(workloads) if workloads is not None else default_workloads("gem5")
-    if jobs > 1:
-        runner.run_cells(
-            [
-                (w, "llbpx", overrides)
-                for w in names
-                for overrides in (
-                    {"model_false_path": True},
-                    {"model_false_path": True, "flush_false_path": True},
-                )
-            ],
-            jobs=jobs,
-        )
+    runner.run_cells(
+        [
+            (w, "llbpx", overrides)
+            for w in names
+            for overrides in (
+                {"model_false_path": True},
+                {"model_false_path": True, "flush_false_path": True},
+            )
+        ],
+        jobs=jobs,
+    )
     results = []
     for workload in names:
         with_fp = runner.run_one(workload, "llbpx", model_false_path=True)
@@ -123,10 +122,9 @@ def run_fig14b(
     runner: Runner, workloads: Optional[Sequence[str]] = None, jobs: int = 1
 ) -> List[Fig14bRow]:
     names = list(workloads) if workloads is not None else default_workloads("gem5")
-    if jobs > 1:
-        runner.run_cells(
-            [(w, c, {}) for w in names for c in ("tsl_64k", *FIG14B_CONFIGS)], jobs=jobs
-        )
+    runner.run_cells(
+        [(w, c, {}) for w in names for c in ("tsl_64k", *FIG14B_CONFIGS)], jobs=jobs
+    )
     machine = table_ii_machine()
     rows = []
     for workload in names:

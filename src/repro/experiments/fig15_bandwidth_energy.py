@@ -27,8 +27,7 @@ def run_fig15(
     runner: Runner, workloads: Optional[Sequence[str]] = None, jobs: int = 1
 ) -> Fig15Result:
     names = list(workloads) if workloads is not None else default_workloads("all")
-    if jobs > 1:
-        runner.run_cells([(w, c, {}) for w in names for c in ("llbp", "llbpx")], jobs=jobs)
+    runner.run_cells([(w, c, {}) for w in names for c in ("llbp", "llbpx")], jobs=jobs)
     scale = runner.config.scale
     configs = {"llbp": llbp_default(scale=scale), "llbpx": llbpx_default(scale=scale)}
     bandwidth: Dict[str, List[BandwidthReport]] = {c: [] for c in configs}

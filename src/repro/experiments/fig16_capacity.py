@@ -42,14 +42,13 @@ def run_fig16a(
     jobs: int = 1,
 ) -> List[SweepPoint]:
     names = list(workloads) if workloads is not None else default_workloads("subset")
-    if jobs > 1:
-        cells = [(w, "tsl_64k", {}) for w in names]
-        cells += [
-            (w, "llbpx_0lat", {"num_contexts": contexts, "store_assoc": 64})
-            for contexts in context_counts
-            for w in names
-        ]
-        runner.run_cells(cells, jobs=jobs)
+    cells = [(w, "tsl_64k", {}) for w in names]
+    cells += [
+        (w, "llbpx_0lat", {"num_contexts": contexts, "store_assoc": 64})
+        for contexts in context_counts
+        for w in names
+    ]
+    runner.run_cells(cells, jobs=jobs)
     points = []
     for contexts in context_counts:
         reductions = []
@@ -78,15 +77,17 @@ def run_fig16b(
 ) -> List[SweepPoint]:
     """Each point: LLBP-X over a smaller TSL, relative to that same TSL.
 
-    Only the TSL baselines prewarm in parallel -- the LLBP-X-over-small-TSL
-    runs are built directly on the bundle (no config name), so they stay
-    in-process.
+    Only the TSL baselines run through ``run_cells`` (over ``jobs``
+    workers) -- the LLBP-X-over-small-TSL runs are built directly on the
+    bundle (no config name), so they stay in-process and reuse the
+    bundles the baselines built.
     """
     names = list(workloads) if workloads is not None else default_workloads("subset")
-    if jobs > 1:
-        runner.run_cells(
-            [(w, preset, {}) for preset in presets for w in names], jobs=jobs
-        )
+    runner.run_cells(
+        [(w, preset, {}) for preset in presets for w in names],
+        jobs=jobs,
+        release_bundles=False,
+    )
     points = []
     for preset in presets:
         reductions = []

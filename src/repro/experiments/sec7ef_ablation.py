@@ -50,10 +50,9 @@ def run_breakdown(
     runner: Runner, workloads: Optional[Sequence[str]] = None, jobs: int = 1
 ) -> BreakdownResult:
     names = list(workloads) if workloads is not None else default_workloads("all")
-    if jobs > 1:
-        cells = [(w, c, {}) for w in names for c in ("tsl_64k", "llbp", "llbpx")]
-        cells += [(w, "llbpx", {"use_history_ranges": False}) for w in names]
-        runner.run_cells(cells, jobs=jobs)
+    cells = [(w, c, {}) for w in names for c in ("tsl_64k", "llbp", "llbpx")]
+    cells += [(w, "llbpx", {"use_history_ranges": False}) for w in names]
+    runner.run_cells(cells, jobs=jobs)
     llbp_reds, llbpx_reds, ablated_reds = [], [], []
     for workload in names:
         base = runner.run_one(workload, "tsl_64k")
@@ -99,12 +98,11 @@ def run_hth_sweep(
     jobs: int = 1,
 ) -> List[SensitivityPoint]:
     names = list(workloads) if workloads is not None else default_workloads("subset")
-    if jobs > 1:
-        cells = [(w, "tsl_64k", {}) for w in names]
-        cells += [
-            (w, "llbpx", {"history_threshold": h_th}) for h_th in values for w in names
-        ]
-        runner.run_cells(cells, jobs=jobs)
+    cells = [(w, "tsl_64k", {}) for w in names]
+    cells += [
+        (w, "llbpx", {"history_threshold": h_th}) for h_th in values for w in names
+    ]
+    runner.run_cells(cells, jobs=jobs)
     points = []
     for h_th in values:
         reductions = []
@@ -125,12 +123,11 @@ def run_ctt_sweep(
     jobs: int = 1,
 ) -> List[SensitivityPoint]:
     names = list(workloads) if workloads is not None else default_workloads("subset")
-    if jobs > 1:
-        cells = [(w, "tsl_64k", {}) for w in names]
-        cells += [
-            (w, "llbpx", {"ctt_entries": entries}) for entries in values for w in names
-        ]
-        runner.run_cells(cells, jobs=jobs)
+    cells = [(w, "tsl_64k", {}) for w in names]
+    cells += [
+        (w, "llbpx", {"ctt_entries": entries}) for entries in values for w in names
+    ]
+    runner.run_cells(cells, jobs=jobs)
     points = []
     for entries in values:
         reductions = []

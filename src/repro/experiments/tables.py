@@ -45,8 +45,7 @@ def run_table1(
 ) -> List[TableIRow]:
     """Measure 64K-TSL MPKI per workload (the baseline of everything)."""
     names = list(workloads) if workloads is not None else default_workloads("all")
-    if jobs > 1:
-        runner.run_cells([(w, "tsl_64k", {}) for w in names], jobs=jobs)
+    runner.run_cells([(w, "tsl_64k", {}) for w in names], jobs=jobs)
     rows = []
     for name in names:
         result = runner.run_one(name, "tsl_64k")

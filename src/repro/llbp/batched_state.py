@@ -1,25 +1,23 @@
-"""Per-lane LLBP tail kernel for the config-batched backend.
+"""The LLBP-family lane tail: the one per-branch kernel of LLBP and LLBP-X.
 
-:func:`build_llbp_tail` is the LLBP-family counterpart of
-:meth:`repro.tage.batched_state.SharedBase.build_tsl_tail`: it rebuilds
-:meth:`repro.llbp.llbp.LLBP._build_step` with the TAGE-core lookup+train
-and the loop predictor read/train replaced by decoding the shared base's
-recorded word for the branch (freshly recorded or adopted from a
-persisted stream -- the tail cannot tell the difference).  Everything
-downstream of the base --
-context lookup, pattern buffer / store, arbitration, statistical
-corrector (with suppression), allocation, false-path modeling, stats --
-is per-lane state and runs verbatim, in the reference kernel's order.
+:func:`build_llbp_tail` is the LLBP counterpart of
+:meth:`repro.tage.batched_state.SharedBase.build_tsl_tail`: per branch it
+decodes the base's recorded word (TAGE direction, confidence and
+provider, bimodal direction, loop override -- freshly recorded or adopted
+from a persisted stream; the tail cannot tell the difference) and runs
+everything downstream of the base: context lookup, pattern buffer /
+store, arbitration, statistical corrector (with suppression), allocation,
+false-path modeling and stats, in the order of
+:meth:`~repro.llbp.llbp.LLBP.predict` + :meth:`~repro.llbp.llbp.LLBP.update`.
 
 Virtual hooks (``_context_of``, ``_choose_allocation_index``,
-``_on_allocation``) are captured as bound methods exactly as in the
-reference kernel, so LLBP-X lanes (per-lane CTT feeding ``_context_of``)
-use this same tail unchanged.
+``_on_allocation``) are captured as bound methods, so LLBP-X lanes
+(per-lane CTT feeding ``_context_of``) use this same tail unchanged.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.tage.batched_state import (
     BASE_BIM_PRED,
@@ -29,6 +27,7 @@ from repro.tage.batched_state import (
     BASE_PROVIDER_SHIFT,
     BASE_TSL_PRED,
     SharedBase,
+    StepFn,
 )
 from repro.tage.config import HISTORY_LENGTHS
 
@@ -36,14 +35,11 @@ if TYPE_CHECKING:
     from repro.llbp.llbp import LLBP
 
 
-def build_llbp_tail(llbp: "LLBP", shared: SharedBase) -> Callable[[int, int, bool], bool]:
+def build_llbp_tail(llbp: "LLBP", shared: SharedBase) -> StepFn:
     """Build the lane tail ``step(t, pc, taken) -> mispredicted`` for LLBP/LLBP-X.
 
-    The caller must have built ``llbp`` with the shared TSL injected
-    (``LLBP(..., tsl=TageSCL(config, tensors, core=shared.core,
-    loop=shared.loop))``) and must install the returned tail as the
-    predictor's ``step`` -- the default kernel would advance the shared
-    core a second time.
+    ``shared`` is the base ``llbp`` was built over (``llbp.tsl.base``);
+    the tail trains the lane's own state and never the base core.
     """
     # ndarray.item returns a plain Python int -- numpy scalars must not
     # leak into pattern/context hashing, and plain-int bit ops are faster

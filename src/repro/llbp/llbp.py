@@ -25,25 +25,30 @@ Limit-study configuration switches (Fig 5) are honoured here: zero
 latency turns prefetching into on-demand fills, ``infinite_patterns``
 unbounds the sets, ``infinite_contexts`` unbounds the directory, and
 ``no_contextualization`` keys pattern sets by branch PC.
+
+:meth:`LLBP.predict`/:meth:`LLBP.update` are the test oracle.  The
+simulation kernel, :attr:`LLBP.step`, is the LLBP lane tail
+(:func:`repro.llbp.batched_state.build_llbp_tail`) over the TSL's
+recorded TAGE+loop base stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.common.bitops import mix64
 from repro.common.stats import StatGroup
+from repro.llbp.batched_state import build_llbp_tail
 from repro.llbp.config import LLBPConfig
 from repro.llbp.pattern import Pattern, PatternSet, UsefulTracker, make_bucket_ranges
 from repro.llbp.pattern_buffer import PatternBuffer, PBEntry
 from repro.llbp.pattern_store import PatternStore
 from repro.llbp.rcr import CONTEXT_KINDS, ContextStreams
-from repro.obs.sampling import active_sampler
+from repro.tage.batched_state import SharedBase, StepFn, instrumented
 from repro.tage.config import HISTORY_LENGTHS, TageConfig, history_length_index
-from repro.tage.loop_predictor import _CONF_MAX
 from repro.tage.streams import TraceTensors, build_tag_streams
 from repro.tage.tsl import TSLPrediction, TageSCL
 
@@ -71,14 +76,12 @@ class LLBP:
         tage_config: TageConfig,
         tensors: TraceTensors,
         context_streams: Optional[ContextStreams] = None,
-        tsl: Optional[TageSCL] = None,
+        base: Optional[SharedBase] = None,
     ) -> None:
         self.config = config
         self.name = config.name
-        # ``tsl`` optionally injects a pre-built baseline (the batched
-        # backend passes one sharing its TAGE core across lanes); callers
-        # doing so must also replace ``self.step``.
-        self.tsl = tsl if tsl is not None else TageSCL(tage_config, tensors)
+        # ``base`` optionally passes a TAGE+loop base other lanes share
+        self.tsl = TageSCL(tage_config, tensors, base=base)
         self.tensors = tensors
         self.stats = StatGroup(f"llbp[{config.name}]")
         self.contexts = context_streams if context_streams is not None else ContextStreams(tensors)
@@ -115,13 +118,19 @@ class LLBP:
             if config.use_bucketing and self._set_capacity > 0
             else None
         )
-        #: fused predict+update entry point used by the simulation loop
-        self.step = self._build_step()
-        sampler = active_sampler()
-        if sampler is not None:
-            # only wraps when telemetry sampling is enabled; the default
-            # hot path runs the bare fused kernel untouched
-            self.step = sampler.instrument(self.name, self.step, self.telemetry_sample)
+        self._step: Optional[StepFn] = None
+
+    @property
+    def step(self) -> StepFn:
+        """The simulation kernel ``step(t, pc, taken) -> mispredicted``.
+
+        The LLBP tail over the TSL's base stream; the first use records
+        the base over the whole trace unless a stream was recorded or
+        adopted.
+        """
+        if self._step is None:
+            self._step = instrumented(self, build_llbp_tail(self, self.tsl.base))
+        return self._step
 
     def telemetry_sample(self) -> Dict[str, float]:
         """Periodic sampler payload: PB health plus the base TAGE core.
@@ -394,7 +403,7 @@ class LLBP:
         provider_table: int,
         provider_length: int,
     ) -> None:
-        """Allocation body over plain scalars (shared with the fused step)."""
+        """Allocation body over plain scalars (shared with the lane tail)."""
         if llbp_provider and pattern is not None:
             provider_index = pattern.length_index
         elif provider_table >= 0:
@@ -431,147 +440,6 @@ class LLBP:
         allocated: Optional[Pattern],
     ) -> None:
         """Hook for LLBP-X's context tracking table; no-op in base LLBP."""
-
-    # -- fused hot path ----------------------------------------------------------
-
-    def _build_step(self) -> Callable[[int, int, bool], bool]:
-        """Build the fused ``step(t, pc, taken) -> mispredicted`` kernel.
-
-        One call per branch replaces :meth:`predict` + :meth:`update`
-        without constructing ``LLBPPrediction``/``TSLPrediction`` records:
-        the TAGE core and statistical corrector run their own fused
-        lookup+train kernels, the loop-predictor lookup is inlined, and the
-        pattern-buffer/pattern-set interactions happen in exactly the
-        unfused order.  Virtual hooks (``_context_of``,
-        ``_choose_allocation_index``, ``_on_allocation``) are captured as
-        bound methods, so LLBP-X inherits the kernel unchanged.  Pinned
-        bit-identical by ``tests/test_step_equivalence.py``.
-        """
-        config = self.config
-        no_ctx = config.no_contextualization
-        zero_latency = config.zero_latency
-        suppress_sc = config.suppress_sc
-        model_false_path = config.model_false_path
-        flush_false_path = config.flush_false_path
-
-        tsl = self.tsl
-        tage_fused = tsl.tage.fused_step
-        loop = tsl.loop
-        sc_fused = tsl.sc.fused_step if tsl.sc is not None else None
-        if loop is not None:
-            loop_entries = loop._entries
-            loop_mask = loop._mask
-            loop_update = loop.update
-
-        context_of = self._context_of  # virtual: LLBP-X overrides
-        direct_get = self._direct.get
-        pb_get = self.pattern_buffer.get
-        fetch = self._fetch_into_pb
-        instr = self._instr
-        tag_streams = self.tag_streams
-        active_indices = self._active_indices
-        hist_lengths = HISTORY_LENGTHS
-        tracker = self.tracker
-        allocate_for = self._allocate_scalar
-        on_false_path = self.on_false_path
-        flush = self._flush_false_path
-
-        stats = self.stats
-        predictions_counter = stats.counter("predictions")
-        hits_counter = stats.counter("llbp_hits")
-        provides_counter = stats.counter("llbp_provides")
-        stats_add = stats.add
-
-        def step(t: int, pc: int, taken: bool) -> bool:
-            # -- TAGE lookup + train (disjoint state; safe to fuse up front)
-            tage_pred, tage_conf, bim_pred, provider_table, provider_length = tage_fused(
-                t, pc, taken
-            )
-            tsl_pred = tage_pred
-            loop_valid = False
-            if loop is not None:
-                key = pc >> 2
-                entry = loop_entries[key & loop_mask]
-                if entry.tag == (key & 0x3FFF) and entry.confidence >= _CONF_MAX:
-                    loop_valid = True
-                    direction = entry.direction
-                    tsl_pred = (
-                        (not direction) if entry.current_iter >= entry.past_iter else direction
-                    )
-
-            # -- context + pattern lookup
-            pattern = None
-            pattern_set = None
-            if no_ctx:
-                cid = pc
-                pattern_set = direct_get(cid)
-            else:
-                cid = context_of(t, pc)
-                if cid != -1:
-                    now = instr[t]
-                    pattern_set, late = pb_get(cid, now)
-                    if pattern_set is None and not late and zero_latency:
-                        pattern_set = fetch(cid, now, False)
-            if pattern_set is not None:
-                pattern = pattern_set.lookup(t, tag_streams, active_indices)
-
-            # -- arbitration: longest history wins; loop beats LLBP
-            llbp_provider = False
-            pred = tsl_pred
-            pattern_pred = False
-            if pattern is not None:
-                hits_counter.value += 1
-                pattern_pred = pattern.ctr >= 0
-                if hist_lengths[pattern.length_index] >= provider_length and not loop_valid:
-                    llbp_provider = True
-                    pred = pattern_pred
-                    provides_counter.value += 1
-
-            # -- statistical corrector (fused evaluate+train); suppression
-            # uses the pattern's pre-update counter, so compute it first
-            if sc_fused is not None:
-                if llbp_provider:
-                    ctr = pattern.ctr
-                    conf = ctr if ctr >= 0 else -ctr - 1
-                    ctr_max = pattern_set.ctr_max
-                    suppress = suppress_sc and (ctr >= ctr_max - 1 or ctr <= -ctr_max)
-                else:
-                    conf = tage_conf
-                    suppress = False
-                sc_pred = sc_fused(t, pc, pred, conf, taken)
-                final = pred if suppress else sc_pred
-            else:
-                final = pred
-
-            # -- update
-            predictions_counter.value += 1
-            mispredicted = final != taken
-            if mispredicted:
-                stats_add("mispredictions")
-            if loop is not None:
-                loop_update(pc, taken, tage_pred != taken)
-            if llbp_provider:
-                if pattern_pred == taken and tsl_pred != taken:
-                    stats_add("llbp_useful")
-                    if tracker is not None:
-                        tracker.record(cid, pattern)
-                pattern.update(taken, pattern_set.ctr_max, pattern_set.ctr_min)
-                pattern_set.dirty = True
-            if mispredicted:
-                if cid != -1:
-                    allocate_for(
-                        t, taken, cid, llbp_provider, pattern, provider_table, provider_length
-                    )
-                if model_false_path:
-                    on_false_path(t)
-                    if flush_false_path:
-                        flush()
-            fast = pattern_pred if llbp_provider else bim_pred
-            if final != fast:
-                stats_add("fast_path_overrides")
-            return mispredicted
-
-        return step
 
     # -- teardown / reporting ------------------------------------------------------------
 

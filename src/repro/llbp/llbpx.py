@@ -31,6 +31,7 @@ from repro.llbp.ctt import ContextTrackingTable
 from repro.llbp.llbp import LLBP
 from repro.llbp.pattern import Pattern, PatternSet, make_bucket_ranges
 from repro.llbp.rcr import ContextStreams
+from repro.tage.batched_state import SharedBase
 from repro.tage.config import HISTORY_LENGTHS, TageConfig, history_length_index
 from repro.tage.streams import TraceTensors
 
@@ -51,9 +52,9 @@ class LLBPX(LLBP):
         tage_config: TageConfig,
         tensors: TraceTensors,
         context_streams: Optional[ContextStreams] = None,
-        tsl: Optional["TageSCL"] = None,
+        base: Optional[SharedBase] = None,
     ) -> None:
-        super().__init__(config, tage_config, tensors, context_streams, tsl=tsl)
+        super().__init__(config, tage_config, tensors, context_streams, base=base)
         self._shallow_window = self.contexts.window_hashes(config.shallow_depth)
         self._deep_window = self.contexts.window_hashes(config.deep_depth)
         self.ctt = ContextTrackingTable(

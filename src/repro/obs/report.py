@@ -181,9 +181,9 @@ def render_report(directory: Union[str, Path], top: int = 12) -> str:
     if batched_groups or fallbacks:
         sizes = sorted((int(e.get("lanes", 0)) for e in batched_groups), reverse=True)
         lines.append("")
-        lines.append("execution backends:")
+        lines.append("shared-base groups:")
         lines.append(
-            "  batched groups: %d  lanes: %d  max group: %d  fallbacks to reference: %d"
+            "  batched groups: %d  lanes: %d  max group: %d  ungrouped cells: %d"
             % (len(sizes), sum(sizes), sizes[0] if sizes else 0, int(fallbacks))
         )
         if sizes:

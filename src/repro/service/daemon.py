@@ -33,7 +33,7 @@ from repro.core.artifacts import ArtifactStore
 from repro.core.parallel import RetryPolicy
 from repro.core.results_io import TIMINGS_FILENAME, ResultCache, TimingStore
 from repro.core.runner import DEFAULT_BRANCHES, DEFAULT_SCALE, Runner, RunnerConfig
-from repro.core.simulator import SimulationResult, resolve_backend
+from repro.core.simulator import SimulationResult
 from repro.obs.events import EventSink, compact_events
 from repro.obs.ledger import LEDGER_DIRNAME, RunLedger
 from repro.obs.log import get_logger
@@ -66,7 +66,6 @@ class ExperimentService:
         events_dir=None,
         branches: int = DEFAULT_BRANCHES,
         scale: int = DEFAULT_SCALE,
-        backend: str = "auto",
         jobs: int = 1,
         quota: int = 0,
         retries: int = RetryPolicy.retries,
@@ -85,7 +84,6 @@ class ExperimentService:
         self.ledger = RunLedger(self.cache.cache_dir / LEDGER_DIRNAME)
         self.default_branches = int(branches)
         self.default_scale = int(scale)
-        self.default_backend = resolve_backend(backend)
         self.default_jobs = max(1, int(jobs))
         self.retry_policy = RetryPolicy(retries=retries, timeout=cell_timeout)
         self.queue = JobQueue(quota=quota)
@@ -143,7 +141,6 @@ class ExperimentService:
             payload,
             default_branches=self.default_branches,
             default_scale=self.default_scale,
-            default_backend=self.default_backend,
             default_jobs=self.default_jobs,
             tenant=tenant,
         )
@@ -173,7 +170,6 @@ class ExperimentService:
             cache=self.cache,
             artifacts=self.artifacts,
             retry_policy=self.retry_policy,
-            backend=spec.backend,
             ledger=self.ledger,
         )
         if self.join:
@@ -341,7 +337,7 @@ class ExperimentService:
             model = make_cost_model(TimingStore(self.cache.cache_dir / TIMINGS_FILENAME))
             remaining = job.cells[done:] if job.cells else []
             estimate = sum(
-                model.estimate(cell["workload"], cell["config"], spec.branches, spec.backend)
+                model.estimate(cell["workload"], cell["config"], spec.branches)
                 for cell in remaining
             )
             payload["eta_seconds"] = round(estimate / max(1, spec.jobs), 3)

@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.simulator import BACKENDS
 from repro.traces.workloads import WORKLOAD_NAMES
 
 __all__ = ["Job", "JobCancelled", "JobQueue", "JobSpec", "QuotaExceeded", "SpecError"]
@@ -64,7 +63,7 @@ def _known_configs() -> tuple:
 class JobSpec:
     """Validated matrix spec of one job.
 
-    ``branches``/``scale``/``backend``/``jobs`` default to the daemon's
+    ``branches``/``scale``/``jobs`` default to the daemon's
     own defaults when the client omits them, so a spec names only what
     it cares about.
     """
@@ -73,7 +72,6 @@ class JobSpec:
     configs: tuple
     branches: int
     scale: int
-    backend: str
     jobs: int
     priority: int = 0
     tenant: str = DEFAULT_TENANT
@@ -83,14 +81,13 @@ class JobSpec:
         payload: object,
         default_branches: int = 120_000,
         default_scale: int = 8,
-        default_backend: str = "auto",
         default_jobs: int = 1,
         tenant: Optional[str] = None,
     ) -> "JobSpec":
         if not isinstance(payload, dict):
             raise SpecError("job spec must be a JSON object")
         known = set(
-            ("workloads", "configs", "branches", "scale", "backend", "jobs", "priority", "tenant")
+            ("workloads", "configs", "branches", "scale", "jobs", "priority", "tenant")
         )
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -125,9 +122,6 @@ class JobSpec:
         priority = payload.get("priority", 0)
         if not isinstance(priority, int) or isinstance(priority, bool):
             raise SpecError("'priority' must be an integer")
-        backend = payload.get("backend", default_backend)
-        if backend not in BACKENDS:
-            raise SpecError(f"unknown backend {backend!r}; known: {', '.join(BACKENDS)}")
         spec_tenant = payload.get("tenant", tenant) or DEFAULT_TENANT
         if not isinstance(spec_tenant, str):
             raise SpecError("'tenant' must be a string")
@@ -136,7 +130,6 @@ class JobSpec:
             configs=tuple(configs),
             branches=branches,
             scale=scale,
-            backend=backend,
             jobs=jobs,
             priority=priority,
             tenant=spec_tenant,
@@ -148,7 +141,6 @@ class JobSpec:
             "configs": list(self.configs),
             "branches": self.branches,
             "scale": self.scale,
-            "backend": self.backend,
             "jobs": self.jobs,
             "priority": self.priority,
             "tenant": self.tenant,

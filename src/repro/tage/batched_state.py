@@ -1,30 +1,27 @@
-"""Shared-base state for the config-batched simulation backend.
+"""The shared TAGE+loop base and the TAGE-SC-L lane tail.
 
-The key structural fact the batched backend exploits (pinned by
-``tests/test_batched_equivalence.py``): for every shipped predictor, the
-TAGE core and the loop predictor evolve as a pure function of
-``(t, pc, taken)`` and their own :class:`~repro.tage.config.TageConfig`.
-The LLBP wrappers call ``tage.fused_step(t, pc, taken)`` unconditionally
-and train the loop predictor with ``loop.update(pc, taken, tage_pred !=
-taken)`` -- none of those inputs depend on the pattern store, the SC, or
-any other per-lane state.  So when several matrix cells over one trace
-bundle share a TAGE configuration (a capacity sweep's LLBP lanes, or a
-``tsl_64k``/``llbp``/``llbpx`` column), *one* TAGE core + loop predictor
-can serve them all, bit-identically.
+Every shipped predictor is a lane-invariant *base* -- the TAGE core and
+the loop predictor, which evolve as a pure function of ``(t, pc, taken)``
+and their own :class:`~repro.tage.config.TageConfig` -- plus a per-design
+*tail*: the statistical corrector, and for the LLBP family the pattern
+buffer / store and CTT.  LLBP and LLBP-X call the TAGE core and train the
+loop predictor with inputs no other state feeds, so one base serves every
+lane that shares a base config, bit-identically.
 
-:class:`SharedBase` runs that shared base exactly once over the trace,
-recording each conditional branch's base outputs -- TAGE direction and
-confidence, bimodal direction, provider table, the post-loop TSL
-direction, and loop validity -- packed into one small int per record.
-Per-lane *tail* kernels (built here for plain TSL, and in
-:mod:`repro.llbp.batched_state` for the LLBP family) then replay the
-recorded stream instead of re-simulating the base, running only the
-lane-divergent state machines (statistical corrector, pattern buffer /
-store, CTT).
+:class:`SharedBase` runs the base exactly once over a trace, recording
+each conditional branch's base outputs -- TAGE direction and confidence,
+bimodal direction, provider table, the post-loop TSL direction, and loop
+validity -- packed into one int per record.  The per-branch kernels are
+the lane *tails* (:meth:`SharedBase.build_tsl_tail` here, and
+:func:`repro.llbp.batched_state.build_llbp_tail` for the LLBP family):
+they replay the recorded stream and run only the lane's own state
+machines.  A predictor built without a ``base`` owns one whose core and
+loop are its own ``tage``/``loop``; the base records the first time the
+predictor's ``step`` kernel is used.  ``predict``/``update`` never touch
+the stream: they drive the same core live and stay the test oracle.
 
 The recording is held as a packed ``uint64`` numpy array end-to-end --
-compact (8 B/branch instead of ~28 B/branch of boxed Python ints),
-mmap-sharable, and persistable as-is by the
+8 B/branch, mmap-sharable, and persistable as-is by the
 :class:`~repro.core.artifacts.ArtifactStore` (the stream is a pure
 function of trace bundle + base config, so one recording serves every
 later run).  Tail kernels read it through ``ndarray.item`` so only plain
@@ -34,15 +31,21 @@ never leak into predictor hashing.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
+from repro.obs.sampling import active_sampler
 from repro.tage.config import TageConfig
 from repro.tage.loop_predictor import _CONF_MAX, LoopPredictor
 from repro.tage.streams import TraceTensors
 from repro.tage.tage import TageCore
-from repro.tage.tsl import TageSCL
+
+if TYPE_CHECKING:
+    from repro.tage.tsl import TageSCL
+
+#: a per-branch kernel: ``step(t, pc, taken) -> mispredicted``
+StepFn = Callable[[int, int, bool], bool]
 
 # -- packed base-record layout (one int per trace record) ----------------------
 #
@@ -70,40 +73,27 @@ BASE_STREAM_VERSION = 1
 BASE_STREAM_DTYPE = np.uint64
 
 
-def batchable_config(config: TageConfig) -> bool:
-    """Whether a TAGE configuration can anchor a shared base.
-
-    Infinite-capacity cells are structurally divergent (unbounded
-    PC-tagged dict state; the limit-study semantics the reference path
-    owns) and fall back lane-by-lane to the reference backend.
-    """
-    return not config.infinite
-
-
 class SharedBase:
-    """One shared TAGE core + loop predictor, recorded over a trace.
+    """One TAGE core + loop predictor, recorded over a trace.
 
     Construction builds the components; :meth:`record` advances them over
-    every conditional record exactly once (bit-identical to the base
-    portion of each reference lane) while packing the per-branch outputs
-    the lane tails need.  Lanes built afterwards via
-    :class:`~repro.tage.tsl.TageSCL`'s ``core=``/``loop=`` injection end
-    the run with precisely the reference lane's table state, because the
-    base inputs are lane-invariant.
+    every conditional record exactly once while packing the per-branch
+    outputs the lane tails need.  Lanes built with ``base=`` this object
+    share its core and loop, so after the record pass their table state
+    is exactly that of a predictor that ran the base itself.
 
     :meth:`adopt_stream` is the warm path: a stream persisted by an
     earlier run (same bundle, same base config -- the
     :class:`~repro.core.artifacts.ArtifactStore` keys it so) is adopted
     directly and the base pass is skipped entirely.  Lane *results*
     (counts, stats, extra) are bit-identical either way -- the tails read
-    only the packed words -- though an adopted base leaves the shared
-    core/loop tables untrained, since nothing replays into them.
+    only the packed words -- though an adopted base leaves the core/loop
+    tables untrained, since nothing replays into them.
     """
 
     def __init__(self, config: TageConfig, tensors: TraceTensors) -> None:
-        if not batchable_config(config):
-            raise ValueError(f"config {config.name!r} is not batchable (infinite mode)")
         self.config = config
+        self.tensors = tensors
         self.core = TageCore(config, tensors)
         self.loop = LoopPredictor(config.loop_entries) if config.use_loop else None
         self._packed: Optional[np.ndarray] = None
@@ -111,14 +101,14 @@ class SharedBase:
         self.adopted = False
 
     def record(self, trace, tensors: TraceTensors) -> None:
-        """Advance the shared base over the whole trace, recording outputs.
+        """Advance the base over the whole trace, recording outputs.
 
-        Mirrors the base portion of the fused reference kernels exactly:
-        ``tage.fused_step`` (lookup + train), the inlined loop-predictor
-        read, then ``loop.update`` -- all with lane-invariant inputs.
-        The loop predictor trains immediately after its read here, while
-        the reference kernels train it after the SC; the two orders are
-        state-identical because the loop and SC share no state.
+        Per conditional branch: ``tage.fused_step`` (lookup + train), the
+        inlined loop-predictor read, then ``loop.update`` -- all with
+        lane-invariant inputs.  The loop predictor trains right after its
+        read here, while ``predict``/``update`` train it after the SC;
+        the two orders are state-identical because the loop and SC share
+        no state.
         """
         pcs, takens = trace.aslists("pcs", "taken")
         packed = [0] * len(pcs)
@@ -165,7 +155,7 @@ class SharedBase:
 
         ``packed`` is typically an ``mmap_mode="r"`` array straight from
         the artifact store; it is used as-is (no copy), so N processes
-        replaying the same stream share its page-cache pages.  The shared
+        replaying the same stream share its page-cache pages.  The
         core/loop stay untrained -- lane tails never read them.
         """
         if packed.ndim != 1:
@@ -178,9 +168,13 @@ class SharedBase:
         return self._packed is not None
 
     def packed_stream(self) -> np.ndarray:
-        """The per-record base outputs as a packed ``uint64`` array."""
+        """The per-record base outputs as a packed ``uint64`` array.
+
+        Records the base over its bound trace first when no stream was
+        recorded or adopted yet.
+        """
         if self._packed is None:
-            raise RuntimeError("SharedBase.record() has not run yet")
+            self.record(self.tensors.trace, self.tensors)
         return self._packed
 
     def footprint_bytes(self) -> int:
@@ -189,12 +183,11 @@ class SharedBase:
 
     # -- lane tails --------------------------------------------------------------
 
-    def build_tsl_tail(self, tsl: TageSCL) -> Callable[[int, int, bool], bool]:
+    def build_tsl_tail(self, tsl: "TageSCL") -> StepFn:
         """Per-lane tail kernel for a plain TAGE-SC-L cell.
 
         Replays the recorded base outputs and runs only the lane's own
-        statistical corrector and statistics -- the exact remainder of
-        :meth:`TageSCL._build_step` after its TAGE + loop section.
+        statistical corrector and statistics.
         """
         # ndarray.item returns a plain Python int -- numpy scalars must
         # not leak into the SC's hashing, and plain-int bit ops are faster
@@ -219,3 +212,17 @@ class SharedBase:
             return final != taken
 
         return tail
+
+
+def instrumented(predictor, kernel: StepFn) -> StepFn:
+    """``kernel`` wrapped by the telemetry sampler when sampling is on.
+
+    Without ``--sample-interval`` the bare tail runs untouched.  Samples
+    read the predictor's state mid-run; TAGE gauges read the base core,
+    which the record pass trained over the whole trace before the tail
+    started.
+    """
+    sampler = active_sampler()
+    if sampler is None:
+        return kernel
+    return sampler.instrument(predictor.name, kernel, predictor.telemetry_sample)

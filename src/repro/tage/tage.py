@@ -309,16 +309,6 @@ class TageCore:
 
     # -- fused hot path ----------------------------------------------------------
 
-    def step(self, t: int, pc: int, taken: bool) -> bool:
-        """Fused lookup + train; returns whether the prediction missed.
-
-        Bit-identical to ``predict()`` followed by ``update()`` (same table
-        state, same statistics) without constructing a
-        :class:`TagePrediction`.  Consumers that need the full prediction
-        record keep using the two-call API.
-        """
-        return self.fused_step(t, pc, taken)[0] != taken
-
     def _build_fused_step(self) -> Callable[[int, int, bool], Tuple[bool, int, bool, int, int]]:
         """Specialise the per-branch kernel for this configuration.
 
@@ -327,8 +317,9 @@ class TageCore:
         lookup *and* training of the TAGE core.  All table/stream/stat
         lookups are hoisted into the closure, and the finite/infinite mode
         split is resolved here, at construction time, instead of per branch.
-        The returned tuple carries exactly what the TAGE-SC-L and LLBP
-        wrappers need to finish their own fused steps.
+        The returned tuple carries what the base record pass
+        (:meth:`repro.tage.batched_state.SharedBase.record`) packs for the
+        lane tails.
         """
         lengths = self.lengths
         last = len(lengths) - 1

@@ -6,21 +6,24 @@ The prediction pipeline is decomposed into stages --
 with TAGE's provider before the statistical corrector sees the combined
 result (and the original LLBP suppresses the SC entirely when it
 provides; see ``repro.llbp.llbp``).  :meth:`predict`/:meth:`update` give
-the plain standalone-TSL behaviour.
+the plain standalone-TSL behaviour and are the test oracle.
+
+The simulation kernel, :attr:`TageSCL.step`, is the TSL lane tail over a
+recorded TAGE+loop base stream (:mod:`repro.tage.batched_state`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.common.stats import StatGroup
-from repro.obs.sampling import active_sampler
+from repro.tage.batched_state import SharedBase, StepFn, instrumented
 from repro.tage.config import TageConfig
-from repro.tage.loop_predictor import _CONF_MAX, LoopPrediction, LoopPredictor
+from repro.tage.loop_predictor import LoopPrediction
 from repro.tage.statistical_corrector import SCPrediction, StatisticalCorrector
 from repro.tage.streams import TraceTensors
-from repro.tage.tage import TageCore, TagePrediction
+from repro.tage.tage import TagePrediction
 
 
 @dataclass
@@ -41,39 +44,33 @@ class TSLPrediction:
 class TageSCL:
     """A complete TAGE-SC-L instance bound to one trace.
 
-    ``core``/``loop`` optionally inject pre-built shared components: the
-    batched backend (:mod:`repro.core.batched`) drives one TAGE core and
-    loop predictor for every lane that shares a :class:`TageConfig`, and
-    each lane's TSL then owns only its statistical corrector and stats.
-    When ``core`` is injected the caller must also replace ``self.step``
-    (the default kernel would advance the shared core a second time);
-    ``loop`` is only consulted alongside ``core``.
+    ``base`` optionally passes a :class:`SharedBase` that other lanes
+    share (:mod:`repro.core.batched`); its core and loop become this
+    TSL's ``tage``/``loop``.  Without one, the TSL owns a base of its own.
     """
 
     def __init__(
-        self,
-        config: TageConfig,
-        tensors: TraceTensors,
-        core: Optional[TageCore] = None,
-        loop: Optional[LoopPredictor] = None,
+        self, config: TageConfig, tensors: TraceTensors, base: Optional[SharedBase] = None
     ) -> None:
         self.config = config
         self.name = config.name
-        if core is not None:
-            self.tage = core
-            self.loop = loop
-        else:
-            self.tage = TageCore(config, tensors)
-            self.loop = LoopPredictor(config.loop_entries) if config.use_loop else None
+        self.base = base if base is not None else SharedBase(config, tensors)
+        self.tage = self.base.core
+        self.loop = self.base.loop
         self.sc = StatisticalCorrector(config, tensors) if config.use_sc else None
         self.stats = StatGroup(f"tsl[{config.name}]")
-        #: fused predict+update entry point used by the simulation loop
-        self.step = self._build_step()
-        sampler = active_sampler()
-        if sampler is not None:
-            # only wraps when telemetry sampling is enabled; the default
-            # hot path runs the bare fused kernel untouched
-            self.step = sampler.instrument(self.name, self.step, self.telemetry_sample)
+        self._step: Optional[StepFn] = None
+
+    @property
+    def step(self) -> StepFn:
+        """The simulation kernel ``step(t, pc, taken) -> mispredicted``.
+
+        The TSL tail over the base stream; the first use records the base
+        over the whole trace unless a stream was recorded or adopted.
+        """
+        if self._step is None:
+            self._step = instrumented(self, self.base.build_tsl_tail(self))
+        return self._step
 
     def telemetry_sample(self) -> Dict[str, float]:
         """Periodic sampler payload: the TAGE core's internals."""
@@ -130,49 +127,3 @@ class TageSCL:
 
     def on_unconditional(self, t: int, pc: int, target: int) -> None:
         """Unconditional branches need no state change: streams are precomputed."""
-
-    # -- fused hot path ----------------------------------------------------------
-
-    def _build_step(self) -> Callable[[int, int, bool], bool]:
-        """Build the fused ``step(t, pc, taken) -> mispredicted`` kernel.
-
-        One call per branch replaces ``predict()`` + ``update()``: the TAGE
-        core runs its own fused lookup+train kernel, the loop predictor's
-        lookup is inlined, and the statistical corrector runs its fused
-        evaluate+train kernel.  No ``TagePrediction``/``TSLPrediction``/
-        ``LoopPrediction``/``SCPrediction`` records are constructed.  The
-        result -- final direction, every table write, and every statistic
-        -- is bit-identical to the two-call API (pinned by
-        ``tests/test_step_equivalence.py``).
-        """
-        tage_fused = self.tage.fused_step
-        loop = self.loop
-        sc_fused = self.sc.fused_step if self.sc is not None else None
-        stats = self.stats
-        predictions_counter = stats.counter("predictions")
-        stats_add = stats.add
-        if loop is not None:
-            loop_entries = loop._entries
-            loop_mask = loop._mask
-            loop_update = loop.update
-
-        def step(t: int, pc: int, taken: bool) -> bool:
-            tage_pred, conf, bim_pred, _table, _length = tage_fused(t, pc, taken)
-            pred = tage_pred
-            if loop is not None:
-                key = pc >> 2
-                entry = loop_entries[key & loop_mask]
-                if entry.tag == (key & 0x3FFF) and entry.confidence >= _CONF_MAX:
-                    direction = entry.direction
-                    pred = (not direction) if entry.current_iter >= entry.past_iter else direction
-            final = sc_fused(t, pc, pred, conf, taken) if sc_fused is not None else pred
-            if final != taken:
-                stats_add("mispredictions")
-            if final != bim_pred:
-                stats_add("fast_path_overrides")
-            predictions_counter.value += 1
-            if loop is not None:
-                loop_update(pc, taken, tage_pred != taken)
-            return final != taken
-
-        return step

@@ -11,15 +11,7 @@ import json
 import pytest
 
 from repro.core import ArtifactStore, ResultCache, Runner, RunnerConfig, TimingStore
-from repro.core.parallel import (
-    CostModel,
-    chunk_cells,
-    config_weight,
-    run_cells_parallel,
-    run_chunks,
-    simulate_cell,
-    simulate_chunk,
-)
+from repro.core.parallel import CostModel, config_weight, run_cells_parallel, simulate_cell
 
 WORKLOADS = ("kafka", "nodeapp")
 CONFIGS = ("tsl_16k", "tsl_64k", "llbp")
@@ -134,7 +126,7 @@ class TestCellGranularScheduling:
         runner = Runner(SMALL, cache=cache)
         runner.run_matrix(WORKLOADS, ("tsl_16k",), jobs=2)
         timings = TimingStore(tmp_path / "timings.meta")
-        assert timings.get("kafka", "tsl_16k") is not None
+        assert timings.get("kafka", "tsl_16k", backend="batched") is not None
         # the timing file is invisible to the result cache's entry count
         assert len(cache) == len(WORKLOADS)
 
@@ -184,22 +176,3 @@ class TestTimingStore:
 
     def test_in_memory_save_is_noop(self):
         TimingStore().save()  # must not raise
-
-
-class TestChunking:
-    def test_chunk_cells_is_workload_major(self):
-        cells = [("a", "x", {}), ("b", "x", {}), ("a", "y", {"k": 1})]
-        chunks = chunk_cells(cells)
-        assert chunks == {"a": [("x", {}), ("y", {"k": 1})], "b": [("x", {})]}
-
-    def test_simulate_chunk_matches_runner(self):
-        expected = Runner(SMALL).run_one("kafka", "tsl_16k")
-        results = simulate_chunk(SMALL, "kafka", [("tsl_16k", {})])
-        assert results == [expected]
-
-    def test_run_chunks_rejects_bad_jobs(self):
-        with pytest.raises(ValueError):
-            list(run_chunks(SMALL, {"kafka": [("tsl_16k", {})]}, jobs=0))
-
-    def test_run_chunks_empty_is_noop(self):
-        assert list(run_chunks(SMALL, {}, jobs=2)) == []

@@ -366,16 +366,7 @@ def test_cancellation_releases_multihost_claims(tmp_path):
     srv.start_background()
     try:
         client = ServiceClient(f"http://127.0.0.1:{srv.port}")
-        # reference backend: cells execute one at a time, so the cancel
-        # lands with most of the matrix still pending (the batched path
-        # can finish a whole shared-base group between poll and cancel)
-        job = client.submit(
-            {
-                "workloads": WORKLOADS,
-                "configs": ["tsl_64k", "llbp", "tsl_8k"],
-                "backend": "reference",
-            }
-        )
+        job = client.submit({"workloads": WORKLOADS, "configs": ["tsl_64k", "llbp", "tsl_8k"]})
         # long-poll until the first cell completes, then cancel: at least
         # four of the six cells are still pending (each takes ~1s)
         events = client.events(job["id"], wait=60)
