@@ -266,7 +266,6 @@ def append_ledger_record(directory, args, configs, rows, compare_section, base_s
         "result_digest": result_digest(outcome),
         "cells": cells,
         "cache_hit_rate": 0.0,
-        "retries": 0,
         "wall_seconds": round(wall, 3),
         "cpu_seconds": round(time.process_time(), 3),
         "branches_per_sec": round(float(bps), 2),

@@ -437,7 +437,6 @@ def append_ledger_record(directory, args, workloads, configs, matrix_runs, mpki,
         "result_digest": result_digest([mpki or {}]),
         "cells": len(identity),
         "cache_hit_rate": 0.0,
-        "retries": 0,
         "wall_seconds": round(wall_seconds, 3),
         "cpu_seconds": round(time.process_time(), 3),
         "branches_per_sec": float(matrix_runs[0]["branches_per_second"]),

@@ -7,7 +7,7 @@ Commands:
 * ``serve``      -- run the experiment service daemon (HTTP job queue)
 * ``submit``     -- submit a matrix to a running daemon (``--wait`` to block)
 * ``status``     -- query a running daemon's health / job states
-* ``obs-report`` -- render a merged telemetry run (spans, metrics, faults)
+* ``obs-report`` -- render a merged telemetry run (spans, metrics, groups)
 * ``obs-compact`` -- roll dead processes' telemetry files into merged segments
 * ``history``    -- inspect the run-history ledger (list/show/diff/regressions)
 * ``list``       -- show known workloads and predictor configurations
@@ -38,19 +38,20 @@ workload's bundle and the requested configs' base streams up front.
 top functions by cumulative time to stderr (``--profile-top`` controls
 how many) -- the standard first step when chasing a hot-path regression.
 
-Fault tolerance: parallel matrices retry crashed/failed cells
-(``--retries``, default 3), optionally bound each cell's wall-clock
-(``--cell-timeout SECONDS``), and recover from worker-pool deaths by
-rebuilding the pool -- results stay bit-identical because every cell is
-a pure function of its key.  Every run emits a one-line ``run report:
-... retries=N ... quarantined=N`` summary; ``--report PATH`` writes the
-full per-cell report (attempts, retries, failures, timings,
+Crash safety: every cell is a pure function of its key and lands in the
+result cache as soon as it finishes, so a run that dies resumes by
+rerunning it with the same ``--cache-dir`` -- only the missing cells are
+simulated, and the output is byte-identical.  Nothing is retried: if a
+worker process dies, ``run``/``report`` exit 1 with one stderr line
+giving the finished and missing cell counts.  Every run emits a one-line
+``run report: cells=N cached=N simulated=N ... quarantined=N`` summary;
+``--report PATH`` writes the full per-cell report (source, timings,
 cache/artifact health) as JSON.
 
 Observability: diagnostics flow through the ``repro`` logger
 (``--log-level``, default ``warning`` -- pass ``info`` to see progress,
 cache stats, and the run summary).  ``--telemetry DIR`` records spans,
-metrics, and fault events into per-process files under DIR (workers
+metrics, and events into per-process files under DIR (workers
 included; ``--sample-interval N`` additionally samples predictor
 internals every N branches).  ``--metrics-out PATH`` writes the merged
 metrics snapshot as JSON; ``obs-report DIR`` renders a recorded run.
@@ -59,7 +60,7 @@ Run history: every cached run (``--cache-dir``) appends one record to
 the ledger at ``<cache-dir>/.ledger`` -- digests, timings, throughput,
 the full run report, and a merged metrics snapshot -- and a regression
 watchdog compares it against a rolling per-(matrix, backend, host)
-baseline, flagging throughput/cache/retry regressions and any
+baseline, flagging throughput and cache-hit-rate regressions and any
 result-digest change (a correctness alarm).  ``repro history list``
 shows the records, ``show`` dumps one, ``diff`` compares two, and
 ``regressions`` lists flagged runs (exit 1 if any).
@@ -71,6 +72,7 @@ import argparse
 import json
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import List
 
@@ -78,7 +80,6 @@ from repro import obs
 from repro.core import (
     ArtifactStore,
     ResultCache,
-    RetryPolicy,
     Runner,
     RunnerConfig,
     reduction,
@@ -110,15 +111,10 @@ def _make_runner(args: argparse.Namespace) -> Runner:
     artifacts = None
     if getattr(args, "artifact_dir", None):
         artifacts = ArtifactStore(args.artifact_dir)
-    policy = RetryPolicy(
-        retries=getattr(args, "retries", RetryPolicy.retries),
-        timeout=getattr(args, "cell_timeout", None),
-    )
     runner = Runner(
         RunnerConfig(scale=args.scale, num_branches=args.branches),
         cache=cache,
         artifacts=artifacts,
-        retry_policy=policy,
     )
     if artifacts is not None and getattr(args, "warm_artifacts", False):
         built = artifacts.warm(WORKLOAD_NAMES, runner.config)
@@ -205,11 +201,8 @@ def _publish_run_gauges(runner: Runner) -> None:
     """Mirror the run report's totals into metrics-registry gauges."""
     registry = obs.registry()
     totals = runner.report.totals()
-    for key in ("cells", "cached", "simulated", "attempts", "retries", "interruptions", "failures", "seconds", "batched_groups", "batched_lanes", "base_warm"):
+    for key in ("cells", "cached", "simulated", "seconds", "batched_groups", "batched_lanes", "base_warm"):
         registry.gauge("run.%s" % key).set(float(totals[key]))
-    registry.gauge("run.pool_rebuilds").set(float(runner.report.pool_rebuilds))
-    registry.gauge("run.timeouts").set(float(runner.report.timeouts))
-    registry.gauge("run.serial_fallback").set(1.0 if runner.report.serial_fallback else 0.0)
     stats = runner.report.prediction_stats()
     if stats["mape_percent"] is not None:
         registry.gauge("run.cost_mape_percent").set(float(stats["mape_percent"]))
@@ -245,7 +238,7 @@ def _finish_run(args: argparse.Namespace, runner: Runner) -> None:
             json.dump(runner.report.to_dict(runner), handle, indent=2, sort_keys=True)
             handle.write("\n")
         logger.info("run report written to %s", report_path)
-    obs.emit_event("run-end", totals=runner.report.totals())
+    obs.emit_event("run-end", totals=runner.report.to_dict()["totals"])
     # harnesses driving run_cells directly (the `report` figures) never
     # hit run_matrix's automatic ledger append; record the whole session
     # as one history entry instead (no-op if something appended already)
@@ -257,6 +250,27 @@ def _finish_run(args: argparse.Namespace, runner: Runner) -> None:
     metrics_path = getattr(args, "metrics_out", None)
     if metrics_path:
         _write_metrics(metrics_path)
+
+
+def _worker_died(runner: Runner) -> int:
+    """Report a run whose pool lost a worker: one stderr line, status 1.
+
+    Every result that finished before the death is already in the memo
+    and, with ``--cache-dir``, on disk; the report's unresolved cells
+    are the ones a rerun still has to simulate.
+    """
+    totals = runner.report.totals()
+    finished = int(totals["cached"]) + int(totals["simulated"])
+    missing = int(totals["cells"]) - finished
+    if runner.cache is not None:
+        hint = f"rerun with the same --cache-dir ({runner.cache.cache_dir}) to resume"
+    else:
+        hint = "nothing was persisted (no result cache), so a rerun starts over"
+    print(
+        f"repro: a worker process died: {finished} cells finished, {missing} missing; {hint}",
+        file=sys.stderr,
+    )
+    return 1
 
 
 def _workload_list(value: str) -> List[str]:
@@ -336,7 +350,7 @@ def _history_diff(old: dict, new: dict) -> List[str]:
     ]
     fields = (
         "source", "backend", "workloads", "configs", "cells", "branches", "scale",
-        "matrix_digest", "result_digest", "cache_hit_rate", "retries",
+        "matrix_digest", "result_digest", "cache_hit_rate",
         "wall_seconds", "cpu_seconds", "branches_per_sec",
     )
     for field in fields:
@@ -468,7 +482,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     progress = None
     if args.jobs > 1:
         progress = _progress_printer(len(args.workload) * len(args.config))
-    matrix = runner.run_matrix(args.workload, args.config, progress=progress, jobs=args.jobs)
+    try:
+        matrix = runner.run_matrix(args.workload, args.config, progress=progress, jobs=args.jobs)
+    except BrokenProcessPool:
+        return _worker_died(runner)
     _print_matrix(args.workload, args.config, lambda workload, config: matrix[workload][config])
     for workload in args.workload:
         runner.release(workload)
@@ -495,8 +512,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         scale=args.scale,
         jobs=args.jobs,
         quota=args.quota,
-        retries=args.retries,
-        cell_timeout=args.cell_timeout,
         join=args.join,
         hosts_dir=args.hosts_dir,
         host_id=args.host_id,
@@ -593,57 +608,59 @@ def cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def _render_report(runner: Runner, name: str, workloads, jobs: int) -> str:
+    """Run one paper table/figure harness and format its text."""
     from repro import experiments as ex
 
-    runner = _make_runner(args)
-    workloads = args.workloads
-    name = args.name
-    jobs = args.jobs
+    single = (workloads or ["nodeapp"])[0]
     if name == "table1":
-        print(ex.format_table1(ex.run_table1(runner, workloads, jobs=jobs)))
-    elif name == "table2":
-        print(ex.format_table2())
-    elif name == "fig01":
-        print(ex.format_fig01(ex.run_fig01(runner, workloads, jobs=jobs)))
-    elif name == "fig04":
-        print(ex.format_fig04(ex.run_fig04(runner, workloads, jobs=jobs)))
-    elif name == "fig05":
-        print(ex.format_fig05(ex.run_fig05(runner, workloads, jobs=jobs)))
-    elif name == "fig06":
-        print(ex.format_fig06_07(ex.run_fig06_07(runner, (workloads or ["nodeapp"])[0])))
-    elif name == "fig08":
-        print(ex.format_fig08(ex.run_fig08(runner, (workloads or ["nodeapp"])[0])))
-    elif name == "fig09":
-        print(ex.format_fig09(ex.run_fig09(runner, (workloads or ["nodeapp"])[0])))
-    elif name == "fig12":
-        print(ex.format_fig12(ex.run_fig12(runner, workloads, jobs=jobs)))
-    elif name == "fig13":
-        print(ex.format_fig13(ex.run_fig13(runner, workloads, jobs=jobs)))
-    elif name == "fig14a":
-        print(ex.format_fig14a(ex.run_fig14a(runner, workloads, jobs=jobs)))
-    elif name == "fig14b":
-        print(ex.format_fig14b(ex.run_fig14b(runner, workloads, jobs=jobs)))
-    elif name == "fig15":
-        print(ex.format_fig15(ex.run_fig15(runner, workloads, jobs=jobs)))
-    elif name == "fig16":
-        print(
-            ex.format_fig16(
-                ex.run_fig16a(runner, workloads, jobs=jobs),
-                ex.run_fig16b(runner, workloads, jobs=jobs),
-            )
+        return ex.format_table1(ex.run_table1(runner, workloads, jobs=jobs))
+    if name == "table2":
+        return ex.format_table2()
+    if name == "fig01":
+        return ex.format_fig01(ex.run_fig01(runner, workloads, jobs=jobs))
+    if name == "fig04":
+        return ex.format_fig04(ex.run_fig04(runner, workloads, jobs=jobs))
+    if name == "fig05":
+        return ex.format_fig05(ex.run_fig05(runner, workloads, jobs=jobs))
+    if name == "fig06":
+        return ex.format_fig06_07(ex.run_fig06_07(runner, single))
+    if name == "fig08":
+        return ex.format_fig08(ex.run_fig08(runner, single))
+    if name == "fig09":
+        return ex.format_fig09(ex.run_fig09(runner, single))
+    if name == "fig12":
+        return ex.format_fig12(ex.run_fig12(runner, workloads, jobs=jobs))
+    if name == "fig13":
+        return ex.format_fig13(ex.run_fig13(runner, workloads, jobs=jobs))
+    if name == "fig14a":
+        return ex.format_fig14a(ex.run_fig14a(runner, workloads, jobs=jobs))
+    if name == "fig14b":
+        return ex.format_fig14b(ex.run_fig14b(runner, workloads, jobs=jobs))
+    if name == "fig15":
+        return ex.format_fig15(ex.run_fig15(runner, workloads, jobs=jobs))
+    if name == "fig16":
+        return ex.format_fig16(
+            ex.run_fig16a(runner, workloads, jobs=jobs),
+            ex.run_fig16b(runner, workloads, jobs=jobs),
         )
-    elif name == "sec7e":
-        print(ex.format_breakdown(ex.run_breakdown(runner, workloads, jobs=jobs)))
-    elif name == "sec7f":
-        print(
-            ex.format_sensitivity(
-                ex.run_hth_sweep(runner, workloads, jobs=jobs),
-                ex.run_ctt_sweep(runner, workloads, jobs=jobs),
-            )
+    if name == "sec7e":
+        return ex.format_breakdown(ex.run_breakdown(runner, workloads, jobs=jobs))
+    if name == "sec7f":
+        return ex.format_sensitivity(
+            ex.run_hth_sweep(runner, workloads, jobs=jobs),
+            ex.run_ctt_sweep(runner, workloads, jobs=jobs),
         )
-    else:  # pragma: no cover - argparse choices guard this
-        raise SystemExit(f"unknown report {name!r}")
+    raise SystemExit(f"unknown report {name!r}")  # pragma: no cover - argparse choices guard this
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    runner = _make_runner(args)
+    try:
+        text = _render_report(runner, args.name, args.workloads, args.jobs)
+    except BrokenProcessPool:
+        return _worker_died(runner)
+    print(text)
     _finish_run(args, runner)
     return 0
 
@@ -705,19 +722,9 @@ def build_parser() -> argparse.ArgumentParser:
         "different times, larger ones reduce ledger round-trips)",
     )
     common.add_argument(
-        "--retries", type=int, default=3, metavar="N",
-        help="re-executions a failed cell (worker crash, exception, timeout) may "
-        "consume before the run aborts (default: 3; results stay bit-identical)",
-    )
-    common.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock bound; a cell exceeding it is killed (pool "
-        "rebuild) and retried (default: off)",
-    )
-    common.add_argument(
         "--report", default=None, metavar="PATH",
-        help="write the structured run report (per-cell attempts/retries/failures, "
-        "timings, cache and artifact health) as JSON to PATH",
+        help="write the structured run report (per-cell source and timings, "
+        "cache and artifact health) as JSON to PATH",
     )
     common.add_argument(
         "--profile", action="store_true",
@@ -729,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--telemetry", default=None, metavar="DIR",
-        help="record spans, metrics, and fault events into per-process files "
+        help="record spans, metrics, and events into per-process files "
         "under DIR (parallel workers included); render with `repro obs-report DIR`",
     )
     common.add_argument(
@@ -831,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_status.set_defaults(func=cmd_status)
 
     p_obs = sub.add_parser(
-        "obs-report", help="render a recorded telemetry run (spans, metrics, fault timeline)"
+        "obs-report", help="render a recorded telemetry run (spans, metrics, groups)"
     )
     p_obs.add_argument("directory", help="telemetry directory written by --telemetry")
     p_obs.add_argument(

@@ -15,9 +15,8 @@ from repro.core.costmodel import (
     evaluate_cost_model,
     make_cost_model,
 )
-from repro.core.faults import FaultError, FaultInjector, active_injector, parse_fault_spec
 from repro.core.limit_study import LIMIT_STEPS, LimitStep, cumulative_overrides, run_limit_study
-from repro.core.parallel import CellExecutionError, RetryPolicy, effective_jobs
+from repro.core.parallel import effective_jobs
 from repro.core.sched import CoopScheduler, HostLedger, drain_cooperative
 from repro.core.run_report import CellReport, RunReport
 from repro.core.runner import (
@@ -50,7 +49,6 @@ __all__ = [
     "ArtifactStore",
     "BatchPlan",
     "BundleArtifacts",
-    "CellExecutionError",
     "CellReport",
     "ComparisonRow",
     "ContextProfile",
@@ -58,8 +56,6 @@ __all__ = [
     "CostModel",
     "DEFAULT_BRANCHES",
     "DEFAULT_SCALE",
-    "FaultError",
-    "FaultInjector",
     "HostLedger",
     "LIMIT_STEPS",
     "LaneOutcome",
@@ -67,14 +63,12 @@ __all__ = [
     "LimitStep",
     "Predictor",
     "ResultCache",
-    "RetryPolicy",
     "RunReport",
     "Runner",
     "RunnerConfig",
     "SimulationResult",
     "TimingStore",
     "WorkloadBundle",
-    "active_injector",
     "base_config",
     "cache_digest",
     "cache_key",
@@ -90,7 +84,6 @@ __all__ = [
     "geometric_mean_mpki",
     "load_results",
     "make_cost_model",
-    "parse_fault_spec",
     "plan_batches",
     "reduction",
     "result_from_dict",

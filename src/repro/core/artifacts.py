@@ -46,7 +46,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.faults import stale_temp
+from repro.common.fsio import stale_temp
 from repro.core.results_io import cache_digest
 from repro.obs.metrics import registry as obs_registry
 from repro.llbp.rcr import ContextStreams

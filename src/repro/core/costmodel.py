@@ -35,7 +35,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.faults import stale_temp
+from repro.common.fsio import stale_temp
 from repro.core.results_io import COSTMODEL_FILENAME, LEGACY_TIMING_KEY, TimingStore
 from repro.obs.log import get_logger
 

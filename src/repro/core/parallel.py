@@ -27,30 +27,24 @@ predictors draw no ambient randomness -- so results are bit-identical to
 the serial path regardless of scheduling order, worker count, or cost
 model.  ``tests/test_parallel.py`` pins this.
 
-Fault tolerance: campaign-scale matrices must survive partial failure,
-so :func:`run_cells_parallel` wraps every cell in a retry loop (capped
-exponential backoff), optionally bounds each cell's wall-clock with a
-per-cell timeout, recovers from ``BrokenProcessPool`` (a worker OOM-kill
-takes down the whole stdlib pool) by rebuilding the pool and re-queueing
-the in-flight cells, and degrades to in-process serial execution after
-repeated consecutive pool failures.  None of this can affect results:
-cells are pure functions of their key, so a retried cell reproduces its
-result bit-identically (``tests/test_faults.py`` pins this under
-injected crashes).  On an *unrecoverable* error (retry budget exhausted)
-the pool is shut down with ``cancel_futures=True`` before the exception
-propagates, so a failed matrix -- or a Ctrl-C -- never hangs on its
-tail of pending futures.
+Crash safety comes from the result cache, not from retries: the parent
+admits every finished task's results to the memo and the result cache
+as they arrive, so a run that dies -- a worker killed, a cell raising,
+a Ctrl-C -- resumes on rerun over the same cache, simulating only the
+missing cells.  :func:`run_cells_parallel` kills the pool before any
+error propagates, so a failed or abandoned matrix never leaves workers
+behind.
 """
+
 
 from __future__ import annotations
 
 import os
 import time
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.batched import base_config, plan_batches, run_group
 from repro.core.costmodel import (  # noqa: F401  (re-exported for compat)
@@ -63,7 +57,6 @@ from repro.core.costmodel import (  # noqa: F401  (re-exported for compat)
     config_weight,
     make_cost_model,
 )
-from repro.core.faults import active_injector
 from repro.core.simulator import SimulationResult
 from repro.obs.log import get_logger
 from repro.obs.metrics import registry as obs_registry
@@ -83,64 +76,21 @@ Cell = Tuple[str, str, Mapping[str, object]]
 MAX_WORKER_BUNDLES = 4
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Fault-tolerance knobs for one matrix execution.
-
-    ``retries`` is the number of *re*-executions a single cell may
-    consume for its own failures (crash, raised exception, timeout)
-    before the run gives up; ``backoff`` / ``backoff_cap`` shape the
-    capped exponential delay before a failed cell re-enters the queue.
-    ``timeout`` (seconds, ``None`` = off) bounds one cell execution --
-    exceeding it kills the pool (stdlib workers cannot be cancelled
-    mid-task) and charges the overdue cell.  After
-    ``pool_failure_limit`` *consecutive* ``BrokenProcessPool`` incidents
-    the run degrades to in-process serial execution, on the theory that
-    a pool that keeps dying (e.g. the machine is out of memory for
-    worker processes) is worse than no pool.
-    """
-
-    retries: int = 3
-    backoff: float = 0.1
-    backoff_cap: float = 5.0
-    timeout: Optional[float] = None
-    pool_failure_limit: int = 3
-
-
-class CellExecutionError(RuntimeError):
-    """A cell exhausted its retry budget; the matrix cannot complete."""
-
-    def __init__(self, cell: Cell, kind: str, detail: str, attempts: int) -> None:
-        self.cell = cell
-        self.kind = kind
-        self.detail = detail
-        self.attempts = attempts
-        super().__init__(
-            f"cell {cell[0]}/{cell[1]} failed ({kind}) after {attempts} attempts: {detail}"
-        )
-
-
-def _shutdown_pool(pool: ProcessPoolExecutor, kill: bool = False) -> None:
-    """Shut a pool down without waiting; cancel queued work.
-
-    ``kill`` also terminates the worker processes -- required when a
-    worker is wedged on a hung cell (``shutdown`` alone would block
-    process exit on the stuck task).
-    """
+def _kill_pool(pool: ProcessPoolExecutor) -> None:
+    """Cancel queued work and terminate the workers without waiting."""
     # snapshot the workers first: shutdown() drops the _processes dict
-    # even with wait=False, and a wedged worker left unterminated keeps
-    # the interpreter's atexit join blocked until its cell finishes
+    # even with wait=False, and a worker left unterminated keeps the
+    # interpreter's atexit join blocked until its task finishes
     processes = list((getattr(pool, "_processes", None) or {}).values())
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:  # pragma: no cover - teardown of a broken pool
         pass
-    if kill:
-        for process in processes:
-            try:
-                process.terminate()
-            except Exception:  # pragma: no cover - already dead
-                pass
+    for process in processes:
+        try:
+            process.terminate()
+        except Exception:  # pragma: no cover - already dead
+            pass
 
 
 # -- worker side ---------------------------------------------------------------
@@ -180,44 +130,6 @@ def _trim_worker_bundles(runner, workload: str, config: "RunnerConfig") -> None:
         runner._bundles.pop(next(iter(runner._bundles)))
 
 
-def simulate_cell(
-    config: "RunnerConfig",
-    workload: str,
-    name: str,
-    overrides: Mapping[str, object],
-    artifact_dir: Optional[str] = None,
-    in_worker: bool = True,
-    telemetry: Optional[TelemetryConfig] = None,
-) -> Tuple[SimulationResult, float]:
-    """Worker entry point: simulate one cell; returns (result, seconds).
-
-    The measured seconds include any bundle build/load this cell paid
-    for, which is exactly the marginal cost the scheduler's cost model
-    wants to learn.  Consults the fault injector (``REPRO_FAULT_SPEC``)
-    first, so injected crashes/hangs land exactly where real ones do --
-    inside a cell execution; ``in_worker=False`` (the serial-fallback
-    path) keeps injected crashes from taking out the parent process.
-
-    ``telemetry`` attaches this worker to the run's telemetry directory
-    (per-pid event/metrics files; see :mod:`repro.obs`).  The metrics
-    snapshot is flushed after *every* completed cell, so a worker later
-    killed mid-run leaves exactly the counts of the cells it finished.
-    """
-    injector = active_injector()
-    if injector is not None:
-        injector.fire(workload, name, in_worker=in_worker)
-    if telemetry is not None and in_worker:
-        obs_ensure(telemetry[0], sample_interval=telemetry[1])
-    runner = _worker_runner(config, artifact_dir)
-    start = time.perf_counter()
-    result = runner.run_one(workload, name, use_cache=False, **dict(overrides))
-    seconds = time.perf_counter() - start
-    if telemetry is not None and in_worker:
-        obs_flush()
-    _trim_worker_bundles(runner, workload, config)
-    return result, seconds
-
-
 @dataclass(frozen=True)
 class _Task:
     """One schedulable unit: a shared-base group or an ungrouped cell.
@@ -234,21 +146,11 @@ class _Task:
     grouped: bool = True
     base_warm: bool = False
 
-    @property
-    def workload(self) -> str:
-        return self.cells[0][0]
-
-    def label(self) -> str:
-        if len(self.cells) == 1:
-            return f"{self.cells[0][0]}/{self.cells[0][1]}"
-        return f"{self.workload}/[{'+'.join(name for _, name, _ in self.cells)}]"
-
 
 def simulate_task(
     config: "RunnerConfig",
     cells: Sequence[Cell],
     artifact_dir: Optional[str] = None,
-    in_worker: bool = True,
     telemetry: Optional[TelemetryConfig] = None,
 ) -> List[Tuple[Cell, SimulationResult, float, bool]]:
     """Worker entry point: execute one task; returns per-cell records.
@@ -257,15 +159,15 @@ def simulate_task(
     lane's seconds are its tail plus an equal share of the group's base
     pass (the cost the scheduler should learn under the ``batched`` --
     or, when the base stream was adopted from the artifact store,
-    ``batched+warm`` -- key).  The fault injector consults *every*
-    member, so a fault spec targeting any lane of a group fires exactly
-    as it would have on that cell's standalone execution.
+    ``batched+warm`` -- key).  The measured seconds include any bundle
+    build/load the task paid for.
+
+    ``telemetry`` attaches this worker to the run's telemetry directory
+    (per-pid event/metrics files; see :mod:`repro.obs`).  The metrics
+    snapshot is flushed after *every* completed task, so a worker later
+    killed mid-run leaves exactly the counts of the tasks it finished.
     """
-    injector = active_injector()
-    if injector is not None:
-        for workload, name, _ in cells:
-            injector.fire(workload, name, in_worker=in_worker)
-    if telemetry is not None and in_worker:
+    if telemetry is not None:
         obs_ensure(telemetry[0], sample_interval=telemetry[1])
     runner = _worker_runner(config, artifact_dir)
     workload = cells[0][0]
@@ -278,7 +180,7 @@ def simulate_task(
         start = time.perf_counter()
         result = runner.run_one(cell[0], cell[1], use_cache=False, **cell[2])
         out.append((cell, result, time.perf_counter() - start, False))
-    if telemetry is not None and in_worker:
+    if telemetry is not None:
         obs_flush()
     _trim_worker_bundles(runner, workload, config)
     return out
@@ -344,51 +246,34 @@ def run_cells_parallel(
     jobs: int,
     artifact_dir: Optional[str] = None,
     cost_model: Optional[CostModel] = None,
-    policy: Optional[RetryPolicy] = None,
     report=None,
     telemetry: Optional[TelemetryConfig] = None,
     base_warm: Optional[Callable[[str, object], bool]] = None,
 ) -> Iterator[Tuple[Cell, SimulationResult]]:
     """Fan cells out over ``jobs`` processes, longest-expected-first.
 
-    Yields ``(cell, result)`` pairs as cells complete (arbitrary order --
-    the caller re-associates), so progress reporting works while later
-    cells are still running.  Observed timings feed back into the cost
-    model (persisted on completion) under the ``batched`` or
-    ``batched+warm`` key.
-
     Cells of one workload sharing a base TageConfig travel as one task
-    (:func:`plan_tasks`) -- one worker runs their base once and every
-    lane tail (:mod:`repro.core.batched`) -- and retry/timeout handling
-    treats the task as a unit.
+    (:func:`plan_tasks`): one worker runs their base once and every lane
+    tail (:mod:`repro.core.batched`).  Yields ``(cell, result)`` pairs as
+    tasks complete (arbitrary order -- the caller re-associates), so
+    progress reporting works while later cells are still running.
+    Observed timings feed back into the cost model (persisted on exit)
+    under the ``batched`` or ``batched+warm`` key; ``report`` (a
+    :class:`~repro.core.run_report.RunReport`) receives per-cell timings,
+    batched groups and the cost model's predictions.
 
-    Execution is fault-tolerant per ``policy`` (see :class:`RetryPolicy`):
-
-    * a worker **exception** charges the cell and re-queues it after a
-      capped exponential backoff;
-    * a **pool break** (worker process died -- OOM kill, segfault,
-      injected crash) charges every in-flight cell (the stdlib gives no
-      finer attribution), rebuilds the pool, and re-queues them; after
-      ``pool_failure_limit`` consecutive breaks the remaining cells run
-      in-process (serial fallback);
-    * a **timeout** (when ``policy.timeout`` is set) charges only the
-      overdue cell; other in-flight cells are re-queued as
-      *interruptions* that do not consume their retry budget (the pool
-      must be killed to reclaim the wedged worker).
-
-    A cell whose retry budget is exhausted raises
-    :class:`CellExecutionError`; the pool is torn down with
-    ``cancel_futures=True`` first, so neither an error nor a caller
-    abandoning the iterator leaves pending futures running.  Retries
-    cannot change results: every cell is a pure function of its key.
-    ``report`` (a :class:`~repro.core.run_report.RunReport`) receives
-    per-cell attempt/failure/success records when provided.
+    Nothing is retried.  When a task raises, or a worker dies
+    (``BrokenProcessPool``), the results of every task that completed in
+    the same wait are yielded first; then the pool is killed and the
+    exception re-raised.  A caller that persists what it is handed (the
+    runner's result cache) therefore resumes on rerun.  A Ctrl-C, or the
+    caller abandoning the iterator (the experiment service cancelling a
+    job), kills the pool as well and counts as an interrupt.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if not cells:
         return
-    policy = policy or RetryPolicy()
     model = cost_model or CostModel()
 
     #: per-cell predicted seconds captured at ordering time, so completed
@@ -410,64 +295,9 @@ def run_cells_parallel(
     )
     if report is not None:
         report.cost_model_kind = getattr(model, "kind", "heuristic")
-    # the *pool* is bounded by real cores even when the caller asked for
-    # more -- the jobs>1 dispatch path (and its fault handling) is kept,
-    # only the worker count is clamped
-    max_workers = max(1, min(effective_jobs(jobs), len(ordered)))
-    attempts = [0] * len(ordered)
-    #: (task index, earliest re-dispatch time) -- backoff lives here
-    pending: Deque[Tuple[int, float]] = deque((i, 0.0) for i in range(len(ordered)))
-    inflight: Dict[Future, Tuple[int, Optional[float]]] = {}
-    #: submission time per in-flight future, feeding the queue-to-done
-    #: latency histogram (dispatch wait + execution, the figure the
-    #: scheduler's cost model is trying to predict)
-    submit_ts: Dict[Future, float] = {}
-    pool: Optional[ProcessPoolExecutor] = None
-    consecutive_breaks = 0
-    fallback = False
 
-    def charge(index: int, kind: str, detail: str) -> None:
-        """Record a failure of the task's own making; re-queue or give up.
-
-        A batched task fails and retries as a unit (its lanes share one
-        base pass), so the failure is recorded against every member cell.
-        """
-        task = ordered[index]
-        if report is not None:
-            for workload, name, overrides in task.cells:
-                report.record_failure(workload, name, overrides, kind, detail)
-        obs_registry().counter("parallel.retries").inc()
-        if attempts[index] > policy.retries:
-            logger.error(
-                "task %s failed (%s) after %d attempts: %s -- giving up",
-                task.label(),
-                kind,
-                attempts[index],
-                detail,
-            )
-            raise CellExecutionError(task.cells[0], kind, detail, attempts[index])
-        logger.warning(
-            "task %s failed (%s): %s -- retry %d/%d",
-            task.label(),
-            kind,
-            detail,
-            attempts[index],
-            policy.retries,
-        )
-        delay = min(policy.backoff_cap, policy.backoff * (2 ** max(0, attempts[index] - 1)))
-        pending.append((index, time.monotonic() + max(0.0, delay)))
-
-    def interrupt(index: int) -> None:
-        """Re-queue an innocent in-flight task without charging it."""
-        attempts[index] -= 1  # the killed execution does not count
-        if report is not None:
-            for workload, name, overrides in ordered[index].cells:
-                report.record_interruption(workload, name, overrides)
-        pending.append((index, 0.0))
-
-    def succeed(index: int, records) -> Iterator[Tuple[Cell, SimulationResult]]:
-        """Book one completed task: timings, report records, results."""
-        task = ordered[index]
+    def book(task: _Task, records) -> Iterator[Tuple[Cell, SimulationResult]]:
+        """Timings, report records and results of one completed task."""
         if task.grouped and report is not None:
             report.record_batched_group(len(task.cells))
         for (workload, name, overrides), result, seconds, lane_warm in records:
@@ -481,208 +311,44 @@ def run_cells_parallel(
                     report.record_prediction(predicted, seconds)
             yield (workload, name, overrides), result
 
-    def handle_break(detail: str) -> None:
-        """A worker died: charge in-flight cells, drop the pool."""
-        nonlocal pool, consecutive_breaks, fallback
-        consecutive_breaks += 1
-        if report is not None:
-            report.pool_rebuilds += 1
-        obs_registry().counter("parallel.pool_rebuilds").inc()
-        emit_event("pool-rebuild", detail=detail, consecutive=consecutive_breaks)
-        logger.warning(
-            "worker pool broke (%s); rebuilding (consecutive break %d)",
-            detail,
-            consecutive_breaks,
-        )
-        indices = [index for index, _ in inflight.values()]
-        inflight.clear()
-        submit_ts.clear()
-        if pool is not None:
-            _shutdown_pool(pool, kill=True)
-            pool = None
-        for index in indices:
-            charge(index, "pool-break", detail)
-        if consecutive_breaks >= policy.pool_failure_limit:
-            fallback = True
-            if report is not None:
-                report.serial_fallback = True
-            emit_event("serial-fallback", consecutive=consecutive_breaks)
-            logger.warning(
-                "degrading to in-process serial execution after %d consecutive pool failures",
-                consecutive_breaks,
-            )
-
+    # the *pool* is bounded by real cores even when the caller asked for more
+    pool = ProcessPoolExecutor(max_workers=max(1, min(effective_jobs(jobs), len(ordered))))
+    inflight: Dict[Future, _Task] = {}
     interrupted = False
     try:
-        while pending or inflight:
-            if fallback:
-                # graceful degradation: finish the matrix in-process.
-                # Injected crashes raise here instead of exiting (see
-                # simulate_task), so the retry accounting still applies.
-                index, not_before = pending.popleft()
-                delay = not_before - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                task = ordered[index]
-                attempts[index] += 1
-                if report is not None:
-                    for workload, name, overrides in task.cells:
-                        report.record_attempt(workload, name, overrides)
-                try:
-                    records = simulate_task(
-                        config,
-                        list(task.cells),
-                        artifact_dir,
-                        in_worker=False,
-                        telemetry=telemetry,
-                    )
-                except Exception as exc:
-                    charge(index, "exception", repr(exc))
-                    continue
-                for pair in succeed(index, records):
-                    yield pair
-                continue
-
-            if pool is None:
-                pool = ProcessPoolExecutor(max_workers=max_workers)
-
-            # submit at most one task per worker so a submitted task is
-            # (almost) immediately a *running* task -- that keeps the
-            # per-cell deadline honest and pool-break attribution tight
-            submit_broke: Optional[str] = None
-            while pending and len(inflight) < max_workers:
-                now = time.monotonic()
-                ready = None
-                for position, (index, not_before) in enumerate(pending):
-                    if not_before <= now:
-                        ready = position
-                        break
-                if ready is None:
-                    if inflight:
-                        break  # completions will wake us before the backoff ends
-                    soonest = min(not_before for _, not_before in pending)
-                    time.sleep(max(0.0, soonest - time.monotonic()))
-                    continue
-                index, _ = pending[ready]
-                del pending[ready]
-                task = ordered[index]
-                try:
-                    future = pool.submit(
-                        simulate_task,
-                        config,
-                        list(task.cells),
-                        artifact_dir,
-                        True,
-                        telemetry,
-                    )
-                except BrokenProcessPool as exc:  # pool died between rounds
-                    pending.appendleft((index, 0.0))
-                    submit_broke = str(exc) or "BrokenProcessPool"
-                    break
-                attempts[index] += 1
-                if report is not None:
-                    for workload, name, overrides in task.cells:
-                        report.record_attempt(workload, name, overrides)
-                deadline = now + policy.timeout if policy.timeout is not None else None
-                inflight[future] = (index, deadline)
-                submit_ts[future] = now
-            if submit_broke is not None:
-                handle_break(submit_broke)
-                continue
-            if not inflight:
-                continue
-
-            wait_timeout: Optional[float] = None
-            now = time.monotonic()
-            deadlines = [dl for _, dl in inflight.values() if dl is not None]
-            if deadlines:
-                wait_timeout = max(0.01, min(deadlines) - now)
-            if pending and len(inflight) < max_workers:
-                soonest = min(not_before for _, not_before in pending)
-                if soonest > now:
-                    backoff_wake = max(0.01, soonest - now)
-                    wait_timeout = (
-                        backoff_wake if wait_timeout is None else min(wait_timeout, backoff_wake)
-                    )
-            done, _ = wait(set(inflight), timeout=wait_timeout, return_when=FIRST_COMPLETED)
-
-            broke: Optional[str] = None
+        # the executor hands queued tasks to workers in submission order
+        for task in ordered:
+            try:
+                future = pool.submit(
+                    simulate_task, config, list(task.cells), artifact_dir, telemetry
+                )
+            except BrokenProcessPool:
+                break  # a worker already died; collecting what was submitted raises it
+            inflight[future] = task
+        while inflight:
+            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+            failure: Optional[BaseException] = None
             for future in done:
-                index, _ = inflight.pop(future)
-                started = submit_ts.pop(future, None)
+                task = inflight.pop(future)
                 try:
                     records = future.result()
-                except BrokenProcessPool as exc:
-                    # every in-flight future of a broken pool raises this;
-                    # charge this one now, handle_break charges the rest
-                    broke = str(exc) or "BrokenProcessPool"
-                    charge(index, "pool-break", broke)
-                except Exception as exc:
-                    charge(index, "exception", repr(exc))
-                else:
-                    consecutive_breaks = 0
-                    if started is not None:
-                        obs_registry().histogram("parallel.task.seconds").observe(
-                            time.monotonic() - started
-                        )
-                    for pair in succeed(index, records):
-                        yield pair
-            if broke is not None:
-                handle_break(broke)
-                continue
-
-            if policy.timeout is not None:
-                now = time.monotonic()
-                overdue = [
-                    future
-                    for future, (_, deadline) in inflight.items()
-                    if deadline is not None and now >= deadline
-                ]
-                if overdue:
-                    # a wedged worker can only be reclaimed by killing
-                    # the pool; innocent in-flight cells are re-queued
-                    # without being charged
-                    if report is not None:
-                        report.timeouts += len(overdue)
-                        report.pool_rebuilds += 1
-                    obs_registry().counter("parallel.timeouts").inc(len(overdue))
-                    obs_registry().counter("parallel.pool_rebuilds").inc()
-                    for future in overdue:
-                        index, _ = inflight.pop(future)
-                        task = ordered[index]
-                        workload, name, _ = task.cells[0]
-                        emit_event(
-                            "cell-timeout", workload=workload, config=name, seconds=policy.timeout
-                        )
-                        logger.warning(
-                            "task %s exceeded %.1fs; killing the pool to reclaim its worker",
-                            task.label(),
-                            policy.timeout,
-                        )
-                        charge(index, "timeout", f"exceeded {policy.timeout:.1f}s")
-                    for future, (index, _) in list(inflight.items()):
-                        interrupt(index)
-                    inflight.clear()
-                    submit_ts.clear()
-                    _shutdown_pool(pool, kill=True)
-                    pool = None
+                except Exception as exc:  # a raising task or a dead worker
+                    failure = failure or exc
+                    continue
+                yield from book(task, records)
+            if failure is not None:
+                raise failure
     except (KeyboardInterrupt, GeneratorExit):
-        # Ctrl-C in the parent, or the caller abandoning the iterator
-        # (e.g. the experiment service cancelling a job): cancel every
-        # queued future and terminate the workers *now* -- an interrupted
-        # matrix must never leave a pool alive behind the exception.
+        # Ctrl-C in the parent, or the caller abandoning the iterator:
+        # an interrupted matrix must never leave a pool alive behind it
         interrupted = True
         raise
     finally:
-        if pool is not None:
-            _shutdown_pool(pool, kill=True)
-            pool = None
+        _kill_pool(pool)
         if interrupted:
+            if report is not None:
+                report.record_interrupted()
             obs_registry().counter("parallel.interrupts").inc()
-            emit_event("run-interrupted", pending=len(pending), inflight=len(inflight))
-            logger.warning(
-                "interrupted: cancelled %d queued and %d in-flight tasks",
-                len(pending),
-                len(inflight),
-            )
+            emit_event("run-interrupted", inflight=len(inflight))
+            logger.warning("interrupted: cancelled %d unfinished tasks", len(inflight))
         model.save()

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.core.batched import resolve_configs
-from repro.core.faults import active_injector, stale_temp
+from repro.common.fsio import stale_temp
 from repro.core.simulator import SimulationResult
 from repro.obs.metrics import registry as obs_registry
 from repro.traces.generator import GENERATOR_VERSION
@@ -473,14 +473,6 @@ class ResultCache:
             "key": dict(key),
             "result": result_to_dict(result),
         }
-        injector = active_injector()
-        if injector is not None and injector.should_corrupt(
-            str(key.get("workload", "")), str(key.get("config", ""))
-        ):
-            # fault injection: drop the result field, keeping the entry
-            # well-formed JSON of the right version -- the exact shape
-            # the quarantine path in get() must recover from
-            del payload["result"]
         path = self._path(digest)
         tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
         tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))

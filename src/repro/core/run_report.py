@@ -1,16 +1,12 @@
-"""Structured reports of how a matrix run actually went.
+"""Structured reports of how a matrix run went.
 
-A matrix that completed after retrying crashed workers is *not* the same
-run as one that completed cleanly, even though both return bit-identical
-results -- and for campaign-scale reproductions the difference matters
-(a host that OOM-kills one cell per figure deserves investigation before
-it eats a week-long sweep).  :class:`RunReport` records, per cell, how
-many executions were attempted, which failures were observed (worker
-crash, raised exception, timeout), and how long the successful attempt
-took; plus run-level counters (pool rebuilds, timeouts, whether the run
-degraded to serial fallback) and -- at serialization time -- the result
-cache / artifact store health counters (hits, quarantined entries, swept
-temps).
+:class:`RunReport` records, per requested cell, where its result came
+from (``cached`` or ``simulated``; empty if the run stopped before the
+cell resolved), how long its simulation took and whether it replayed a
+persisted base stream; plus run-level records (batched group sizes, the
+cost model's predictions, multi-host claims, whether the run was
+interrupted) and -- at serialization time -- the result cache /
+artifact store health counters (hits, quarantined entries, swept temps).
 
 The report is owned by the :class:`~repro.core.runner.Runner`
 (``runner.report``) and accumulates across ``run_cells`` calls within
@@ -22,25 +18,18 @@ PATH`` serialises it as JSON; the end-of-run summary line is
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.results_io import freeze_overrides
 from repro.obs.telemetry import emit_event
 
-REPORT_FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 2
 
 
 @dataclass
 class CellReport:
-    """Execution record of one (workload, config, overrides) cell.
-
-    ``attempts`` counts execution *starts* (including ones later killed
-    by an unrelated failure); ``retries`` counts re-executions charged to
-    this cell's own failures; ``interruptions`` counts re-executions
-    where the cell was an innocent victim of another cell's incident
-    (e.g. a pool rebuild) -- those do not consume the retry budget.
-    """
+    """Execution record of one (workload, config, overrides) cell."""
 
     workload: str
     config: str
@@ -48,11 +37,7 @@ class CellReport:
     source: str = ""  # "cached" | "simulated" | "" (never resolved)
     #: lane that adopted a persisted base stream (tail-only replay)
     base_warm: bool = False
-    attempts: int = 0
-    retries: int = 0
-    interruptions: int = 0
     seconds: float = 0.0
-    failures: List[Dict[str, str]] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -61,11 +46,7 @@ class CellReport:
             "overrides": self.overrides,
             "source": self.source,
             "base_warm": self.base_warm,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "interruptions": self.interruptions,
             "seconds": self.seconds,
-            "failures": list(self.failures),
         }
 
 
@@ -74,9 +55,6 @@ class RunReport:
 
     def __init__(self) -> None:
         self._cells: Dict[Tuple[str, str, str], CellReport] = {}
-        self.pool_rebuilds = 0
-        self.timeouts = 0
-        self.serial_fallback = False
         #: the run was interrupted (Ctrl-C, or a service job cancellation)
         #: before every cell resolved -- recorded results are still valid
         self.interrupted = False
@@ -121,41 +99,6 @@ class RunReport:
         if not entry.source:
             entry.source = "cached"
 
-    def record_attempt(
-        self, workload: str, config: str, overrides: Optional[Mapping[str, object]] = None
-    ) -> None:
-        entry = self.cell(workload, config, overrides)
-        entry.attempts += 1
-        emit_event("cell-attempt", workload=workload, config=config, attempt=entry.attempts)
-
-    def record_failure(
-        self,
-        workload: str,
-        config: str,
-        overrides: Optional[Mapping[str, object]],
-        kind: str,
-        detail: str,
-    ) -> None:
-        """A failure charged to this cell (consumes its retry budget)."""
-        entry = self.cell(workload, config, overrides)
-        entry.failures.append({"kind": kind, "detail": detail})
-        entry.retries += 1
-        emit_event(
-            "cell-failure",
-            workload=workload,
-            config=config,
-            kind=kind,
-            detail=detail,
-            attempt=entry.attempts,
-        )
-
-    def record_interruption(
-        self, workload: str, config: str, overrides: Optional[Mapping[str, object]] = None
-    ) -> None:
-        """The cell's execution was collateral damage of another failure."""
-        self.cell(workload, config, overrides).interruptions += 1
-        emit_event("cell-interruption", workload=workload, config=config)
-
     def record_success(
         self,
         workload: str,
@@ -193,25 +136,14 @@ class RunReport:
 
     def record_interrupted(self) -> None:
         """The run stopped before completion (interrupt or cancellation)."""
-        self.interrupted = True
-        emit_event("run-interrupted-report")
+        if not self.interrupted:
+            self.interrupted = True
+            emit_event("run-interrupted-report")
 
     # -- aggregates ---------------------------------------------------------
 
     def cells(self) -> List[CellReport]:
         return [self._cells[key] for key in sorted(self._cells)]
-
-    @property
-    def total_retries(self) -> int:
-        return sum(entry.retries for entry in self._cells.values())
-
-    @property
-    def total_failures(self) -> int:
-        return sum(len(entry.failures) for entry in self._cells.values())
-
-    @property
-    def total_interruptions(self) -> int:
-        return sum(entry.interruptions for entry in self._cells.values())
 
     def prediction_stats(self) -> Dict[str, object]:
         """Predicted-vs-actual accuracy of the scheduling cost model.
@@ -230,21 +162,25 @@ class RunReport:
             "mape_percent": round(100.0 * sum(errors) / len(errors), 2) if errors else None,
         }
 
-    def totals(self) -> Dict[str, object]:
+    def _totals(self) -> Dict[str, object]:
         cells = list(self._cells.values())
         return {
             "cells": len(cells),
             "cached": sum(1 for entry in cells if entry.source == "cached"),
             "simulated": sum(1 for entry in cells if entry.source == "simulated"),
-            "attempts": sum(entry.attempts for entry in cells),
-            "retries": self.total_retries,
-            "interruptions": self.total_interruptions,
-            "failures": self.total_failures,
             "seconds": sum(entry.seconds for entry in cells),
             "batched_groups": len(self.batched_group_sizes),
             "batched_lanes": sum(self.batched_group_sizes),
             "base_warm": sum(1 for entry in cells if entry.base_warm),
         }
+
+    def totals(self) -> Dict[str, object]:
+        totals = self._totals()
+        # nothing retries any more; the perfbench paper_regen workload
+        # still reads this key, so it stays a constant 0 until that
+        # benchmark next changes (the JSON report and summary omit it)
+        totals["retries"] = 0
+        return totals
 
     # -- serialisation ------------------------------------------------------
 
@@ -260,10 +196,7 @@ class RunReport:
             "version": REPORT_FORMAT_VERSION,
             "started_at": self.started_at,
             "cells": [entry.to_dict() for entry in self.cells()],
-            "totals": self.totals(),
-            "pool_rebuilds": self.pool_rebuilds,
-            "timeouts": self.timeouts,
-            "serial_fallback": self.serial_fallback,
+            "totals": self._totals(),
             "interrupted": self.interrupted,
             "batched_group_sizes": list(self.batched_group_sizes),
             "cost_model": self.prediction_stats(),
@@ -290,13 +223,11 @@ class RunReport:
 
     def summary(self, runner=None) -> str:
         """One-line end-of-run summary (grep-friendly ``key=value`` pairs)."""
-        totals = self.totals()
+        totals = self._totals()
         sizes = self.batched_group_sizes
         line = (
             f"run report: cells={totals['cells']} cached={totals['cached']} "
-            f"simulated={totals['simulated']} retries={totals['retries']} "
-            f"timeouts={self.timeouts} pool_rebuilds={self.pool_rebuilds} "
-            f"serial_fallback={'yes' if self.serial_fallback else 'no'} "
+            f"simulated={totals['simulated']} "
             f"batched_groups={len(sizes)} batched_lanes={sum(sizes)} "
             f"max_group_lanes={max(sizes) if sizes else 0} "
             f"base_warm={totals['base_warm']}"

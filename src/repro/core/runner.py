@@ -103,14 +103,9 @@ class Runner:
     ``sim_seconds`` accumulate the phase breakdown the throughput
     benchmark reports.
 
-    ``retry_policy`` optionally attaches a
-    :class:`~repro.core.parallel.RetryPolicy` governing the parallel
-    path's fault tolerance (per-cell retries, backoff, timeout, pool
-    recovery); ``None`` uses the policy's defaults.  ``report`` is a
-    :class:`~repro.core.run_report.RunReport` accumulating per-cell
-    attempt/retry/failure records across this runner's ``run_cells``
-    calls, so a matrix that completed *with* retries is distinguishable
-    from a clean one.
+    ``report`` is a :class:`~repro.core.run_report.RunReport`
+    accumulating per-cell records (source, seconds, base warmth) across
+    this runner's ``run_cells`` calls.
     """
 
     def __init__(
@@ -118,14 +113,12 @@ class Runner:
         config: Optional[RunnerConfig] = None,
         cache: Optional[ResultCache] = None,
         artifacts: Optional[ArtifactStore] = None,
-        retry_policy: Optional["RetryPolicy"] = None,
         backend: Optional[str] = None,
         ledger: Optional[object] = None,
     ) -> None:
         self.config = config or RunnerConfig()
         self.cache = cache
         self.artifacts = artifacts
-        self.retry_policy = retry_policy
         if backend not in (None, "auto"):
             raise ValueError(
                 f"unknown backend {backend!r}: every cell runs as a lane tail over a base stream"
@@ -323,11 +316,10 @@ class Runner:
         never disagree (and name/override concatenation collisions are
         impossible).
 
-        Every execution is recorded in ``self.report`` (attempt, then
-        success with the cell's wall seconds *including* any bundle
-        build/load it paid for), so serial and direct-call runs populate
-        per-cell timings exactly like pool runs do; cache hits record a
-        ``cached`` cell.
+        Every execution is recorded in ``self.report`` (the cell's wall
+        seconds *including* any bundle build/load it paid for), so serial
+        and direct-call runs populate per-cell timings exactly like pool
+        runs do; cache hits record a ``cached`` cell.
         """
         if use_cache:
             cached = self.lookup_cached(workload, name, overrides)
@@ -335,7 +327,6 @@ class Runner:
                 self.report.record_cached(workload, name, overrides)
                 return cached
         with span("cell", workload=workload, config=name):
-            self.report.record_attempt(workload, name, overrides)
             cell_start = time.perf_counter()
             bundle = self.bundle(workload)
             start = time.perf_counter()
@@ -403,15 +394,16 @@ class Runner:
         runner's artifact store when one is attached).  Results come back
         in cell order and are bit-identical either way.  ``progress``
         fires once per cell (completion order under parallelism).
-
-        The parallel path is fault-tolerant: worker crashes, raised
-        exceptions, and (with a timeout configured) hangs are retried
-        per ``self.retry_policy``, and every attempt/retry/failure is
-        recorded in ``self.report`` (a
-        :class:`~repro.core.run_report.RunReport`).
-
         Either way, a workload's cells sharing a base config run as one
         group over one base stream (:mod:`repro.core.batched`).
+
+        Nothing is retried.  Every result reaches the memo and the disk
+        cache as soon as it is simulated, so if a cell raises or a pool
+        worker dies (``BrokenProcessPool``) the exception propagates with
+        every finished result kept: rerunning over the same cache
+        resumes, simulating only the cells still missing.  Requested
+        cells that never resolved stay in ``self.report`` with an empty
+        ``source``.
         """
         cells = [(workload, name, dict(overrides or {})) for workload, name, overrides in cells]
         out: Dict[int, SimulationResult] = {}
@@ -420,6 +412,7 @@ class Runner:
         pending: Dict[ResultKey, List[int]] = {}
         cell_of: Dict[ResultKey, Cell] = {}
         for index, (workload, name, overrides) in enumerate(cells):
+            self.report.cell(workload, name, overrides)  # unresolved until it finishes
             cached = self.lookup_cached(workload, name, overrides)
             if cached is not None:
                 out[index] = cached
@@ -462,7 +455,6 @@ class Runner:
                     jobs,
                     artifact_dir=artifact_dir,
                     cost_model=model,
-                    policy=self.retry_policy,
                     report=self.report,
                     telemetry=obs_worker_config(),
                     base_warm=self.base_stream_warm,
@@ -473,8 +465,8 @@ class Runner:
                 # serial: workload-major order so release_bundles bounds
                 # memory.  Each workload's cells are partitioned into
                 # shared-base groups (repro.core.batched); the ungrouped
-                # rest goes through run_one, which records the report
-                # attempt/success itself.
+                # rest goes through run_one, which records its report
+                # entry itself.
                 by_workload: Dict[str, List[ResultKey]] = {}
                 for key in pending:
                     by_workload.setdefault(key[0], []).append(key)
@@ -495,8 +487,6 @@ class Runner:
             if plan.fallbacks:
                 obs_registry().counter("backend.fallbacks").inc(plan.fallbacks)
             for group in plan.groups:
-                for cell_w, name, overrides in group:
-                    self.report.record_attempt(cell_w, name, overrides)
                 self.report.record_batched_group(len(group))
                 for outcome in run_group(self, workload, group):
                     cell_w, name, overrides = outcome.cell

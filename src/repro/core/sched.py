@@ -4,8 +4,7 @@ The paper's full result set is a matrix of thousands of cells, and one
 box is not the ceiling: any number of hosts that can see the same
 result-cache directory can drain one matrix *cooperatively*.  The
 protocol needs no coordinator, no network channel, and no clock
-agreement -- only the filesystem primitives the fault ledger already
-proved (:mod:`repro.core.faults`):
+agreement -- only atomic file creation, rename and a liveness probe:
 
 * **Claim** -- a host atomically claims an uncached cell by creating
   ``<digest>.claim`` (``O_CREAT | O_EXCL``) in the hosts directory next
@@ -14,7 +13,7 @@ proved (:mod:`repro.core.faults`):
   namespace can never disagree.
 * **Publish** -- the claimant simulates the cell through the ordinary
   pipeline (:meth:`Runner.run_cells` -- parallel pool, shared-base
-  groups, retries, artifact store, all of it) and the result
+  groups, artifact store, all of it) and the result
   reaches the shared cache *before* the claim is released, so peers
   never observe a completed cell as both unclaimed and uncached.  With
   a shared artifact store attached, the same ordering covers base
@@ -24,7 +23,7 @@ proved (:mod:`repro.core.faults`):
 * **Reap** -- every host maintains a heartbeat file (mtime refresh).  A
   claim is stale -- and reaped, making its cell claimable again -- iff
   its owner is provably dead: same-machine owners are probed directly
-  (:func:`~repro.core.faults.pid_alive`); cross-machine owners are
+  (:func:`~repro.common.fsio.pid_alive`); cross-machine owners are
   declared dead only when *both* their heartbeat and the claim file
   itself have gone unrefreshed for the TTL (a freshly re-claimed cell
   has a fresh claim file, so a racing reaper cannot kill a live
@@ -55,7 +54,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core.faults import pid_alive
+from repro.common.fsio import pid_alive
 from repro.obs.log import get_logger
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.telemetry import emit_event
@@ -313,6 +312,7 @@ def drain_cooperative(
                 published = runner.lookup_cached(workload, name, overrides)
                 if published is not None:
                     del remaining[digest]
+                    report.record_cached(workload, name, overrides)
                     report.record_peer_result()
                     obs_registry().counter("sched.peer_results").inc()
                     emit_event(

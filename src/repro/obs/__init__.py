@@ -17,8 +17,8 @@ Zero-dependency observability for experiment runs, in four pieces:
 * **Events** (:mod:`repro.obs.events`) -- a JSONL sink, one
   ``events-<pid>.jsonl`` file per process, flushed per line so files
   from killed workers still merge (a truncated final line is skipped,
-  never fatal).  Fault-tolerance incidents (retries, pool rebuilds,
-  timeouts, serial fallback) and periodic predictor samples land here.
+  never fatal).  Per-cell successes, batched groups, multi-host claims,
+  interrupts and periodic predictor samples land here.
 * **Sampling** (:class:`Sampler`) -- periodic in-simulation snapshots
   of predictor internals (TAGE occupancy and useful-bit saturation,
   LLBP pattern-buffer hit rate, LLBP-X depth adaptation) every N

@@ -109,7 +109,7 @@ def read_events(
 
 def _dead_pid_files(directory: Path, prefix: str, suffix: str) -> List[Path]:
     """Per-pid files whose writer process is gone (never the caller's)."""
-    from repro.core.faults import pid_alive
+    from repro.common.fsio import pid_alive
 
     dead: List[Path] = []
     for path in sorted(directory.glob(prefix + "*" + suffix)):

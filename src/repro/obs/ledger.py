@@ -377,7 +377,6 @@ def _assemble_record(
         "result_digest": results_id,
         "cells": cell_count,
         "cache_hit_rate": round(hit_rate, 4),
-        "retries": int(totals["retries"]),
         "wall_seconds": round(float(wall_seconds), 6),
         "cpu_seconds": round(float(cpu_seconds), 6),
         "branches_per_sec": round(bps, 2),

@@ -1,6 +1,6 @@
 """The ``repro`` logger hierarchy.
 
-All human-facing diagnostics (progress, cache stats, retry warnings)
+All human-facing diagnostics (progress, cache stats, warnings)
 flow through ``logging.getLogger("repro...")`` instead of bare
 ``print(..., file=sys.stderr)``.  :func:`configure_logging` installs a
 message-only stderr handler on the root ``repro`` logger at the level

@@ -4,7 +4,7 @@ Every finished run is compared against a *rolling baseline* keyed by
 ``(matrix digest, backend, host)`` -- the narrowest key under which
 throughput numbers are comparable: a different matrix is different work,
 a different backend is a different engine, and a different host is a
-different machine.  Four checks run, ordered by how loudly they should
+different machine.  Three checks run, ordered by how loudly they should
 alarm:
 
 * **result digest** -- for a fixed matrix digest the serialized results
@@ -16,8 +16,9 @@ alarm:
 * **cache hit rate** -- an absolute drop beyond ``hit_rate_drop`` means
   previously cached cells are being re-simulated (cache damage or key
   churn).
-* **retries** -- more than ``retry_slack`` retries above the baseline
-  average points at a newly flaky host or workload.
+
+Older records and baselines may still carry a ``retries`` field; it is
+ignored.
 
 Ordering contract (pinned by tests): a record is checked against the
 baseline *as it stood before the run*, and only then folded into it --
@@ -40,7 +41,6 @@ from typing import Dict, List, Mapping, Optional, Union
 __all__ = [
     "BASELINES_FILENAME",
     "DEFAULT_HIT_RATE_DROP",
-    "DEFAULT_RETRY_SLACK",
     "DEFAULT_TOLERANCE",
     "baseline_key",
     "check_record",
@@ -57,8 +57,6 @@ BASELINES_FILENAME = "baselines.json"
 DEFAULT_TOLERANCE = 0.30
 #: absolute cache-hit-rate drop tolerated before flagging
 DEFAULT_HIT_RATE_DROP = 0.25
-#: retries above the baseline average tolerated before flagging
-DEFAULT_RETRY_SLACK = 2.0
 #: EMA weight of the newest run when folding it into the baseline
 EMA_ALPHA = 0.3
 
@@ -97,7 +95,6 @@ def check_record(
     baseline: Optional[Mapping[str, object]],
     tolerance: float = DEFAULT_TOLERANCE,
     hit_rate_drop: float = DEFAULT_HIT_RATE_DROP,
-    retry_slack: float = DEFAULT_RETRY_SLACK,
 ) -> List[Dict[str, object]]:
     """Flags for ``record`` vs ``baseline`` (no baseline: no flags)."""
     if not baseline:
@@ -152,19 +149,6 @@ def check_record(
                     "are being re-simulated",
                 }
             )
-
-    base_retries = float(baseline.get("retries", 0.0) or 0.0)
-    retries = float(record.get("retries", 0.0) or 0.0)
-    if retries > base_retries + retry_slack:
-        flags.append(
-            {
-                "kind": "retries",
-                "severity": "perf",
-                "baseline": round(base_retries, 2),
-                "observed": retries,
-                "detail": "retry count rose well above the baseline average",
-            }
-        )
     return flags
 
 
@@ -180,13 +164,11 @@ def update_baseline(
     """
     bps = float(record.get("branches_per_sec", 0.0) or 0.0)
     hit = float(record.get("cache_hit_rate", 0.0) or 0.0)
-    retries = float(record.get("retries", 0.0) or 0.0)
     if not baseline:
         return {
             "runs": 1,
             "branches_per_sec": bps,
             "cache_hit_rate": hit,
-            "retries": retries,
             "result_digest": record.get("result_digest", ""),
             "last_run_id": record.get("run_id", ""),
             "last_ts": record.get("ts", 0.0),
@@ -202,7 +184,6 @@ def update_baseline(
         # not drag the simulated-throughput baseline around
         "branches_per_sec": ema(old_bps, bps) if bps > 0 else old_bps,
         "cache_hit_rate": ema(float(baseline.get("cache_hit_rate", 0.0) or 0.0), hit),
-        "retries": ema(float(baseline.get("retries", 0.0) or 0.0), retries),
         "result_digest": record.get("result_digest", baseline.get("result_digest", "")),
         "last_run_id": record.get("run_id", ""),
         "last_ts": record.get("ts", 0.0),

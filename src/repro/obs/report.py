@@ -1,4 +1,4 @@
-"""Render a merged telemetry run: span tree, top metrics, fault timeline.
+"""Render a merged telemetry run: span tree, top metrics, groups, hosts.
 
 Works purely from the files in a telemetry directory (events + per-pid
 metrics snapshots), so it can be pointed at the output of a crashed run
@@ -8,25 +8,13 @@ metrics snapshots), so it can be pointed at the output of a crashed run
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.obs.events import read_events
 from repro.obs.metrics import Histogram
 from repro.obs.telemetry import merged_metrics
 
 __all__ = ["load_run", "render_report", "render_trend"]
-
-# Event types that belong on the fault/retry timeline.  ``cell-success``
-# is included only for cells that previously failed or were interrupted,
-# so a clean run has an empty timeline and a retried run shows
-# failure -> ... -> eventual success explicitly.
-FAULT_EVENT_TYPES = (
-    "cell-failure",
-    "cell-interruption",
-    "cell-timeout",
-    "pool-rebuild",
-    "serial-fallback",
-)
 
 
 class SpanNode:
@@ -96,36 +84,6 @@ def _render_span(node: SpanNode, depth: int, lines: List[str]) -> None:
     )
     for child in node.children:
         _render_span(child, depth + 1, lines)
-
-
-def _cell_key(event: Dict[str, object]) -> str:
-    return "%s/%s" % (event.get("workload", "?"), event.get("config", "?"))
-
-
-def _timeline(events: List[Dict[str, object]]) -> List[Dict[str, object]]:
-    failed = {_cell_key(e) for e in events if e.get("type") in ("cell-failure", "cell-interruption", "cell-timeout")}
-    picked = []
-    succeeded = set()
-    for event in events:
-        etype = event.get("type")
-        if etype in FAULT_EVENT_TYPES:
-            picked.append(event)
-        elif etype == "cell-success" and _cell_key(event) in failed:
-            # worker and parent both record the success; show it once
-            if _cell_key(event) not in succeeded:
-                succeeded.add(_cell_key(event))
-                picked.append(event)
-    return picked
-
-
-def _fmt_timeline_event(event: Dict[str, object], t0: float) -> str:
-    etype = str(event.get("type"))
-    offset = float(event.get("ts", t0)) - t0  # type: ignore[arg-type]
-    detail_keys = ("workload", "config", "kind", "detail", "attempt", "seconds", "consecutive")
-    details = " ".join(
-        "%s=%s" % (k, event[k]) for k in detail_keys if k in event and event[k] not in (None, "")
-    )
-    return "  +%8.3fs  %-17s %s" % (offset, etype, details)
 
 
 def render_report(directory: Union[str, Path], top: int = 12) -> str:
@@ -230,16 +188,6 @@ def render_report(directory: Union[str, Path], top: int = 12) -> str:
             claims = sum(1 for e in coop_events if e.get("type") == "cell-claim" and e.get("host") == host)
             peers = sum(1 for e in coop_events if e.get("type") == "peer-result" and e.get("host") == host)
             lines.append("  %-32s claimed %d  adopted %d" % (host, claims, peers))
-
-    timeline = _timeline(events)
-    lines.append("")
-    lines.append("fault/retry timeline:")
-    if timeline:
-        t0 = min(float(e.get("ts", 0.0)) for e in timeline)  # type: ignore[arg-type]
-        for event in timeline:
-            lines.append(_fmt_timeline_event(event, t0))
-    else:
-        lines.append("  (no faults recorded)")
     return "\n".join(lines)
 
 

@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.core.artifacts import ArtifactStore
-from repro.core.parallel import RetryPolicy
 from repro.core.results_io import TIMINGS_FILENAME, ResultCache, TimingStore
 from repro.core.runner import DEFAULT_BRANCHES, DEFAULT_SCALE, Runner, RunnerConfig
 from repro.core.simulator import SimulationResult
@@ -68,8 +67,6 @@ class ExperimentService:
         scale: int = DEFAULT_SCALE,
         jobs: int = 1,
         quota: int = 0,
-        retries: int = RetryPolicy.retries,
-        cell_timeout: Optional[float] = None,
         join: bool = False,
         hosts_dir=None,
         host_id: Optional[str] = None,
@@ -85,7 +82,6 @@ class ExperimentService:
         self.default_branches = int(branches)
         self.default_scale = int(scale)
         self.default_jobs = max(1, int(jobs))
-        self.retry_policy = RetryPolicy(retries=retries, timeout=cell_timeout)
         self.queue = JobQueue(quota=quota)
         self.join = bool(join)
         self.hosts_dir = hosts_dir
@@ -169,7 +165,6 @@ class ExperimentService:
             RunnerConfig(scale=spec.scale, num_branches=spec.branches),
             cache=self.cache,
             artifacts=self.artifacts,
-            retry_policy=self.retry_policy,
             ledger=self.ledger,
         )
         if self.join:

@@ -10,6 +10,7 @@ renames, ``meta.json`` written last).
 
 import json
 import multiprocessing
+import os
 
 import pytest
 
@@ -162,3 +163,56 @@ class TestHousekeeping:
         reopened = ArtifactStore(store.root)
         reopened.load_bundle("kafka", SMALL)
         assert reopened.stats()["bundle_loads"] == 1
+
+
+class TestArtifactStoreSelfHealing:
+    def test_undecodable_meta_quarantined(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        directory = store.bundle_dir(store.bundle_digest("kafka", SMALL))
+        directory.mkdir()
+        (directory / "meta.json").write_text("{ torn write")
+        assert store.load_bundle("kafka", SMALL) is None
+        assert store.quarantined == 1
+        assert (directory / "meta.json.corrupt").exists()
+
+    def test_schema_invalid_meta_quarantined(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        directory = store.bundle_dir(store.bundle_digest("kafka", SMALL))
+        directory.mkdir()
+        # right key, but no trace fields: a torn write on the value side
+        meta = {"key": store.bundle_key("kafka", SMALL)}
+        (directory / "meta.json").write_text(json.dumps(meta))
+        assert store.load_bundle("kafka", SMALL) is None
+        assert store.quarantined == 1
+
+    def test_quarantined_bundle_regenerates(self, tmp_path):
+        expected = Runner(SMALL).run_one("kafka", "tsl_16k")
+        store = ArtifactStore(tmp_path)
+        directory = store.bundle_dir(store.bundle_digest("kafka", SMALL))
+        directory.mkdir()
+        (directory / "meta.json").write_text("not even json")
+        runner = Runner(SMALL, artifacts=store)
+        assert runner.run_one("kafka", "tsl_16k") == expected
+        assert store.quarantined == 1
+        assert store.bundle_writes == 1  # regenerated over the damaged dir
+
+    def test_clear_removes_quarantined_bundle_dirs(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        directory = tmp_path / "feedbeef"
+        directory.mkdir()
+        (directory / "meta.json.corrupt").write_text("damaged")
+        store.clear()
+        assert not directory.exists()
+
+    def test_stale_artifact_temps_swept(self, tmp_path):
+        (tmp_path / ".ctx_values.npy.999999999.abcd1234.tmp.npy").write_text("x")
+        (tmp_path / ".meta.json.999999999.abcd1234.tmp").write_text("x")
+        store = ArtifactStore(tmp_path)
+        assert store.temps_swept == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_live_artifact_temp_kept(self, tmp_path):
+        live = tmp_path / f".meta.json.{os.getpid()}.abcd1234.tmp"
+        live.write_text("in flight")
+        assert ArtifactStore(tmp_path).temps_swept == 0
+        assert live.exists()

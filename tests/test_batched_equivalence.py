@@ -9,9 +9,8 @@ cell run over a base of its own -- misprediction counts, statistics,
 derived metrics, and (the strong form) full internal predictor state
 down to every table entry.  It also pins planning (every cell with a
 base config is grouped, ``tsl_inf`` included), Opt-W's single base,
-that ``predict``/``update`` never record a base, crash-retry
-bit-identity for groups, and the keyed timing store's migration of bare
-legacy keys.
+that ``predict``/``update`` never record a base, and the keyed timing
+store's migration of bare legacy keys.
 """
 
 from __future__ import annotations
@@ -228,28 +227,6 @@ def test_predict_update_never_records_a_base(base_records, name):
     assert base_records == [] and not tsl.base.recorded
     assert callable(predictor.step)  # the tail: its first use records the base
     assert base_records == ["tsl_64k"] and tsl.base.recorded
-
-
-# -- fault tolerance ------------------------------------------------------------
-
-
-def test_crash_in_batched_group_retries_bit_identically(tmp_path, monkeypatch):
-    """A worker crash mid-group kills every lane; the retry must still match."""
-    cells = [(w, c, {}) for w in ("kafka", "nodeapp") for c in ("tsl_64k", "llbp")]
-    expected = _one_base_each(cells)
-    monkeypatch.setenv(
-        "REPRO_FAULT_SPEC",
-        f"ledger={tmp_path / 'ledger'};crash:kafka/tsl_64k:1",
-    )
-    runner = Runner(SMALL)
-    assert runner.run_cells(cells, jobs=2) == expected
-    # the crash is recorded (failure incidents, then retries) yet every
-    # cell still resolves by simulation
-    assert runner.report.totals()["retries"] >= 1
-    assert all(entry.source == "simulated" for entry in runner.report.cells())
-    # the crashed group's member cells were re-attempted together
-    kafka_entries = [e for e in runner.report.cells() if e.workload == "kafka"]
-    assert any(e.attempts >= 2 for e in kafka_entries)
 
 
 # -- timing-store key dimension -------------------------------------------------

@@ -1,8 +1,14 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import KNOWN_CONFIGS, KNOWN_REPORTS, build_parser, main
+from repro.core import ResultCache, Runner, RunnerConfig, RunReport
+from repro.core.run_report import REPORT_FORMAT_VERSION
+
+SMALL = RunnerConfig(scale=4, num_branches=3000)
 
 
 class TestParser:
@@ -73,15 +79,22 @@ class TestParser:
         defaults = build_parser().parse_args(["report", "fig12"])
         assert defaults.artifact_dir is None and not defaults.warm_artifacts
 
-    def test_fault_tolerance_flags(self):
+    def test_report_flag(self):
         args = build_parser().parse_args(
-            ["run", "--workload", "kafka", "--config", "llbp",
-             "--retries", "5", "--cell-timeout", "2.5", "--report", "/tmp/r.json"]
+            ["run", "--workload", "kafka", "--config", "llbp", "--report", "/tmp/r.json"]
         )
-        assert args.retries == 5 and args.cell_timeout == 2.5 and args.report == "/tmp/r.json"
+        assert args.report == "/tmp/r.json"
         defaults = build_parser().parse_args(["report", "fig12"])
-        assert defaults.retries == 3 and defaults.cell_timeout is None
         assert defaults.report is None  # the figure name lives in args.name
+
+    def test_retry_options_are_gone(self, capsys):
+        # a crashed run resumes from the result cache; nothing is retried
+        for name, value in (("retries", "3"), ("cell-timeout", "5")):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["run", "--workload", "kafka", "--config", "llbp", f"--{name}", value]
+                )
+            assert f"unrecognized arguments: --{name}" in capsys.readouterr().err
 
     def test_profile_flags(self):
         args = build_parser().parse_args(
@@ -176,7 +189,7 @@ class TestExecution:
         assert main(["run", "--workload", "kafka", "--config", "tsl_64k",
                      "--branches", "5000", "--log-level", "info"]) == 0
         err = capsys.readouterr().err
-        assert "run report:" in err and "retries=0" in err and "quarantined=0" in err
+        assert "run report: cells=1 cached=0 simulated=1" in err and "quarantined=0" in err
 
     def test_default_log_level_keeps_stderr_quiet(self, capsys):
         assert main(["run", "--workload", "kafka", "--config", "tsl_64k",
@@ -186,8 +199,6 @@ class TestExecution:
         assert "run report:" not in captured.err  # info lines hidden by default
 
     def test_run_writes_report_json(self, capsys, tmp_path):
-        import json
-
         report_path = tmp_path / "report.json"
         code = main(["run", "--workload", "kafka", "--config", "tsl_64k",
                      "--branches", "5000", "--report", str(report_path),
@@ -195,36 +206,49 @@ class TestExecution:
         assert code == 0
         assert f"run report written to {report_path}" in capsys.readouterr().err
         payload = json.loads(report_path.read_text())
-        assert payload["version"] == 1
+        assert payload["version"] == REPORT_FORMAT_VERSION == 2
         assert payload["totals"] == {
-            "cells": 1, "cached": 0, "simulated": 1, "attempts": 1,
-            "retries": 0, "interruptions": 0, "failures": 0,
+            "cells": 1, "cached": 0, "simulated": 1,
             "seconds": payload["totals"]["seconds"],
             "batched_groups": 1, "batched_lanes": 1, "base_warm": 0,
         }
         assert payload["simulations"] == 1
         assert payload["cells"][0]["workload"] == "kafka"
 
-    def test_run_recovers_from_injected_crash(self, capsys, tmp_path, monkeypatch):
-        import json
+    def test_run_resumes_after_worker_death(self, capsys, tmp_path, doom_task, monkeypatch):
+        argv = ["run", "--workload", "kafka", "--workload", "nodeapp",
+                "--config", "tsl_64k", "--config", "llbp", "--branches", "5000"]
+        assert main(argv) == 0
+        uninterrupted = capsys.readouterr().out
 
-        monkeypatch.setenv(
-            "REPRO_FAULT_SPEC",
-            f"ledger={tmp_path / 'ledger'};crash:kafka/tsl_64k:1",
-        )
+        cache_dir = tmp_path / "cache"
+        resumable = argv + ["--jobs", "2", "--cache-dir", str(cache_dir)]
+        doom_task("die", "kafka", cache_dir, finished=2)
+        assert main(resumable) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "repro: a worker process died: 2 cells finished, 2 missing; "
+            f"rerun with the same --cache-dir ({cache_dir}) to resume"
+        ]
+
+        monkeypatch.undo()
+        report_path = tmp_path / "rerun.json"
+        assert main(resumable + ["--report", str(report_path)]) == 0
+        assert capsys.readouterr().out == uninterrupted
+        payload = json.loads(report_path.read_text())
+        assert payload["simulations"] == 2
+        assert (payload["totals"]["cached"], payload["totals"]["simulated"]) == (2, 2)
+
+    def test_worker_death_without_cache_says_nothing_persisted(self, capsys, tmp_path, doom_task):
+        doom_task("die", "kafka", tmp_path)
         code = main(["run", "--workload", "kafka", "--workload", "nodeapp",
-                     "--config", "tsl_64k", "--branches", "5000", "--jobs", "2",
-                     "--report", str(tmp_path / "r.json"), "--log-level", "info"])
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "pool_rebuilds=" in err
-        payload = json.loads((tmp_path / "r.json").read_text())
-        assert payload["totals"]["retries"] >= 1
-        assert payload["pool_rebuilds"] >= 1
+                     "--config", "tsl_64k", "--branches", "5000", "--jobs", "2"])
+        assert code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "missing" in line and "nothing was persisted" in line
 
     def test_run_with_telemetry_and_obs_report(self, capsys, tmp_path):
-        import json
-
         tel_dir = tmp_path / "tel"
         metrics_path = tmp_path / "metrics.json"
         code = main(["run", "--workload", "kafka", "--config", "tsl_64k",
@@ -256,6 +280,50 @@ class TestExecution:
                 "5000", "--cache-dir", str(tmp_path), "--no-cache"]
         assert main(argv) == 0
         assert list(tmp_path.glob("*.json")) == []
+
+
+class TestRunReport:
+    def test_cached_does_not_override_simulated(self):
+        report = RunReport()
+        report.record_success("kafka", "llbp", None, 1.0)
+        report.record_cached("kafka", "llbp")
+        assert report.cell("kafka", "llbp").source == "simulated"
+
+    def test_overrides_distinguish_cells(self):
+        report = RunReport()
+        report.record_success("kafka", "llbp", None, 1.0)
+        report.record_success("kafka", "llbp", {"num_contexts": 1024}, 1.0)
+        assert len(report.cells()) == 2
+
+    def test_to_dict_is_json_serialisable(self):
+        report = RunReport()
+        report.record_success("kafka", "llbp", None, 0.5)
+        data = json.loads(json.dumps(report.to_dict()))
+        assert data["version"] == REPORT_FORMAT_VERSION
+        assert data["totals"]["cells"] == 1
+        assert data["totals"]["simulated"] == 1
+        assert data["quarantined"] == 0
+        assert data["interrupted"] is False
+
+    def test_to_dict_with_runner_surfaces_quarantines(self, tmp_path):
+        runner = Runner(SMALL, cache=ResultCache(tmp_path / "cache"))
+        runner.cache.quarantined = 2
+        data = runner.report.to_dict(runner)
+        assert data["quarantined"] == 2
+        assert data["cache"]["quarantined"] == 2
+        assert data["simulations"] == 0
+
+    def test_summary_line_is_grep_friendly(self):
+        report = RunReport()
+        report.record_success("kafka", "llbp", None, 1.0)
+        report.record_cached("nodeapp", "llbp")
+        report.cell("whiskey", "llbp")  # requested, never resolved
+        line = report.summary()
+        assert line.startswith("run report: cells=3 cached=1 simulated=1 ")
+
+    def test_summary_with_runner_includes_quarantined(self, tmp_path):
+        runner = Runner(SMALL, cache=ResultCache(tmp_path / "cache"))
+        assert "quarantined=0" in runner.report.summary(runner)
 
 
 class TestConstants:

@@ -30,6 +30,7 @@ from repro.obs.regress import (
     check_and_update,
     check_record,
     load_baselines,
+    save_baselines,
     update_baseline,
 )
 
@@ -52,7 +53,6 @@ def _bench_record(**overrides):
         "result_digest": "r" * 16,
         "cells": 2,
         "cache_hit_rate": 1.0,
-        "retries": 0,
         "wall_seconds": 1.0,
         "cpu_seconds": 1.0,
         "branches_per_sec": 100_000.0,
@@ -217,11 +217,25 @@ def test_identical_rerun_is_clean(tmp_path):
     assert check_and_update(tmp_path, _bench_record()) == []
 
 
-def test_hit_rate_and_retry_flags(tmp_path):
-    check_and_update(tmp_path, _bench_record(cache_hit_rate=1.0, retries=0))
-    bad = _bench_record(cache_hit_rate=0.25, retries=5, branches_per_sec=0.0)
+def test_hit_rate_flag(tmp_path):
+    check_and_update(tmp_path, _bench_record(cache_hit_rate=1.0))
+    bad = _bench_record(cache_hit_rate=0.25, branches_per_sec=0.0)
     kinds = {f["kind"] for f in check_and_update(tmp_path, bad)}
-    assert kinds == {"cache_hit_rate", "retries"}
+    assert kinds == {"cache_hit_rate"}
+
+
+def test_records_and_baselines_with_retries_check_clean(tmp_path):
+    """History written while runs still counted retries reads and checks clean."""
+    old = _bench_record(retries=0)
+    baseline = update_baseline(None, old)
+    baseline["retries"] = 0.0
+    save_baselines(tmp_path, {baseline_key(old): baseline})
+    ledger = RunLedger(tmp_path)
+    ledger.append(dict(old))
+    assert [record["retries"] for record in ledger.records()] == [0]
+    # a retry spike in an old-format record is no longer a regression
+    assert check_and_update(tmp_path, _bench_record(retries=9)) == []
+    assert "retries" not in load_baselines(tmp_path)[baseline_key(old)]
 
 
 def test_cached_replay_never_distorts_throughput_baseline(tmp_path):
@@ -403,7 +417,7 @@ def test_cli_history_regressions_clean_then_flagged(two_run_cache, capsys):
         key: base[key]
         for key in (
             "source", "backend", "matrix_digest", "cells", "cache_hit_rate",
-            "retries", "wall_seconds", "cpu_seconds", "branches_per_sec", "host",
+            "wall_seconds", "cpu_seconds", "branches_per_sec", "host",
         )
     }
     flipped["result_digest"] = "0badc0de0badc0de"

@@ -4,9 +4,9 @@ Covers the metrics primitives (counters, gauges, fixed-bucket
 histograms, pull-collectors, cross-process merging), the crash-safe
 JSONL event sink, span tracing, in-simulation sampling (including the
 bit-identity guarantee with sampling enabled), the merged-run report
-renderer, and — the integration contract — that a pool run with an
-injected worker crash yields a merged telemetry directory whose counter
-totals equal those of a plain serial run.
+renderer, and — the integration contract — that a pool run whose worker
+dies yields a merged telemetry directory whose counters hold exactly the
+cells that finished.
 """
 
 import gc
@@ -15,9 +15,10 @@ import os
 
 import pytest
 
+from concurrent.futures.process import BrokenProcessPool
+
 from repro import obs
-from repro.core import Runner, RunnerConfig, RetryPolicy
-from repro.core.faults import ENV_VAR
+from repro.core import ResultCache, Runner, RunnerConfig
 from repro.llbp import ContextStreams, LLBP, llbp_default
 from repro.obs.metrics import reset_registry
 from repro.obs.report import build_span_tree
@@ -328,9 +329,6 @@ class TestReport:
             with obs.span("simulate", workload="kafka"):
                 pass
         obs.registry().counter("runner.simulations").inc()
-        obs.emit_event("cell-failure", workload="kafka", config="llbp",
-                       kind="pool-break", attempt=1)
-        obs.emit_event("cell-success", workload="kafka", config="llbp", seconds=0.5)
         obs.emit_event("cell-success", workload="kafka", config="llbp", seconds=0.5)
         obs.emit_event("cell-success", workload="nodeapp", config="llbp", seconds=0.5)
         obs.shutdown()
@@ -341,22 +339,11 @@ class TestReport:
         assert "span tree" in text
         assert "simulate workload=kafka" in text
         assert "runner.simulations" in text
-        assert "fault/retry timeline:" in text
-        assert "cell-failure" in text
-
-    def test_timeline_shows_recovery_success_once(self, tmp_path):
-        self._make_run(tmp_path)
-        text = obs.render_report(tmp_path)
-        timeline = text.split("fault/retry timeline:")[1]
-        # the retried cell's success appears exactly once; the clean
-        # nodeapp cell stays off the timeline entirely
-        assert timeline.count("cell-success") == 1
-        assert "nodeapp" not in timeline
 
     def test_empty_directory_renders(self, tmp_path):
         text = obs.render_report(tmp_path)
         assert "(no spans recorded)" in text
-        assert "(no faults recorded)" in text
+        assert "top counters:\n  (none)" in text
 
     def test_load_run_lists_pids(self, tmp_path):
         self._make_run(tmp_path)
@@ -365,44 +352,28 @@ class TestReport:
         assert len(run["spans"]) == 1  # run_cells root with simulate child
 
 
-# -- integration: crash-merge counter equality (satellite) -----------------------
+# -- integration: a dead worker's counters -------------------------------------
 
 
 class TestCrashMergeIntegration:
-    def test_pool_crash_merge_matches_serial_totals(self, tmp_path, monkeypatch):
-        serial_dir, pool_dir = tmp_path / "serial", tmp_path / "pool"
-
-        obs.configure(serial_dir)
-        serial_runner = Runner(SMALL)
-        expected = serial_runner.run_matrix(["kafka"], ["tsl_16k", "llbp"])
+    def test_dead_worker_contributes_only_finished_cells(self, tmp_path, doom_task):
+        # two shared-base groups: kafka's and nodeapp's tsl_64k + llbp
+        cells = [(w, c, {}) for w in ("kafka", "nodeapp") for c in ("tsl_64k", "llbp")]
+        # kafka's worker dies once nodeapp's two cells are cached; its
+        # per-task flush never ran, so it contributes no counts at all
+        doom_task("die", "kafka", tmp_path / "cache", finished=2)
+        obs.configure(tmp_path / "telemetry")
+        runner = Runner(SMALL, cache=ResultCache(tmp_path / "cache"))
+        with pytest.raises(BrokenProcessPool):
+            runner.run_cells(cells, jobs=2)
         obs.shutdown()
-        serial = obs.merged_metrics(serial_dir, include_local=False)
+        merged = obs.merged_metrics(tmp_path / "telemetry", include_local=False)
 
-        monkeypatch.setenv(
-            ENV_VAR, f"ledger={tmp_path / 'ledger'};crash:kafka/tsl_16k:1"
-        )
-        obs.configure(pool_dir)
-        pool_runner = Runner(SMALL, retry_policy=RetryPolicy(retries=3, backoff=0.01))
-        got = pool_runner.run_matrix(["kafka"], ["tsl_16k", "llbp"], jobs=2)
-        obs.shutdown()
-        monkeypatch.delenv(ENV_VAR)
-        merged = obs.merged_metrics(pool_dir, include_local=False)
-
-        assert got == expected
-        assert pool_runner.report.total_retries >= 1
-        # every cell simulated exactly once overall despite the crash:
-        # the killed worker never flushed a snapshot for the dead attempt
-        for name in ("runner.simulations", "runner.branches"):
-            assert merged["counters"][name] == serial["counters"][name]
-        assert serial["counters"]["runner.simulations"] == 2.0
-        assert serial["counters"]["runner.branches"] == 2 * SMALL.num_branches
-        # the retry itself is visible in the pool run's counters + events
-        assert merged["counters"]["parallel.retries"] >= 1
-        failures = obs.read_events(pool_dir, "cell-failure")
-        assert any(e["workload"] == "kafka" for e in failures)
-        # and the report renders a non-empty timeline for it
-        report = obs.render_report(pool_dir)
-        assert "cell-failure" in report and "pool-rebuild" in report
+        finished = [cell for cell in runner.report.cells() if cell.source == "simulated"]
+        assert {cell.workload for cell in finished} == {"nodeapp"}
+        assert len(finished) == runner.sim_count == 2
+        assert merged["counters"]["runner.simulations"] == 2
+        assert merged["counters"]["runner.branches"] == 2 * SMALL.num_branches
 
     def test_metrics_files_are_per_pid(self, tmp_path):
         obs.configure(tmp_path)

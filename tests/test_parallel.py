@@ -4,14 +4,31 @@ The load-bearing guarantee: ``run_matrix(jobs=N)`` is *bit-identical* to
 the serial path -- every field of every ``SimulationResult``, including
 predictor stats and extra metrics -- because trace generation and the
 predictors are deterministic functions of the pickled ``RunnerConfig``.
+
+Crash safety is resuming, not retrying: a run whose worker dies keeps
+every finished result in the cache, a rerun simulates only the missing
+cells, and no pool worker outlives a failed or abandoned run.
 """
 
 import json
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.core import ArtifactStore, ResultCache, Runner, RunnerConfig, TimingStore
-from repro.core.parallel import CostModel, config_weight, run_cells_parallel, simulate_cell
+from repro.core import (
+    ArtifactStore,
+    CoopScheduler,
+    HostLedger,
+    ResultCache,
+    Runner,
+    RunnerConfig,
+    RunReport,
+    TimingStore,
+)
+from repro.core.parallel import CostModel, config_weight, run_cells_parallel, simulate_task
+from repro.obs.metrics import registry as obs_registry
+from tests.conftest import DoomedTaskError, wait_for_no_children
 
 WORKLOADS = ("kafka", "nodeapp")
 CONFIGS = ("tsl_16k", "tsl_64k", "llbp")
@@ -94,11 +111,18 @@ class TestCellGranularScheduling:
         assert runner.sim_count == 2  # unique cells only
         assert results[0] == results[1] == results[2]
 
-    def test_simulate_cell_matches_runner(self):
-        expected = Runner(SMALL).run_one("kafka", "tsl_16k")
-        result, seconds = simulate_cell(SMALL, "kafka", "tsl_16k", {})
-        assert result == expected
-        assert seconds > 0
+    def test_simulate_task_matches_runner(self):
+        oracle = Runner(SMALL)
+        ungrouped = [("kafka", "llbpx_optw", {})]
+        two_lanes = [("kafka", "tsl_64k", {}), ("kafka", "llbp", {})]
+        for cells in (ungrouped, two_lanes):
+            records = simulate_task(SMALL, cells)
+            assert sorted(name for (_, name, _), _, _, _ in records) == sorted(
+                name for _, name, _ in cells
+            )
+            for (workload, name, overrides), result, seconds, _ in records:
+                assert result == oracle.run_one(workload, name, **overrides)
+                assert seconds > 0
 
     def test_run_cells_parallel_with_artifact_store(self, tmp_path):
         cells = [(w, c, {}) for w in WORKLOADS for c in ("tsl_16k", "llbp")]
@@ -176,3 +200,113 @@ class TestTimingStore:
 
     def test_in_memory_save_is_noop(self):
         TimingStore().save()  # must not raise
+
+    def test_concurrent_saves_blend_instead_of_clobbering(self, tmp_path):
+        path = tmp_path / "timings.meta"
+        a = TimingStore(path)
+        b = TimingStore(path)  # loaded before a saved: knows nothing of a
+        a.observe("kafka", "llbp", 2.0)
+        a.save()
+        b.observe("kafka", "llbp", 4.0)
+        b.save()
+        assert TimingStore(path).get("kafka", "llbp") == pytest.approx(3.0)
+
+    def test_disk_only_keys_adopted_on_save(self, tmp_path):
+        path = tmp_path / "timings.meta"
+        a = TimingStore(path)
+        b = TimingStore(path)
+        a.observe("kafka", "llbp", 2.0)
+        a.save()
+        b.observe("nodeapp", "tsl_64k", 1.0)
+        b.save()
+        merged = TimingStore(path)
+        assert merged.get("kafka", "llbp") == pytest.approx(2.0)
+        assert merged.get("nodeapp", "tsl_64k") == pytest.approx(1.0)
+
+    def test_unchanged_disk_keys_not_reblended(self, tmp_path):
+        path = tmp_path / "timings.meta"
+        store = TimingStore(path)
+        store.observe("kafka", "llbp", 2.0)
+        store.save()
+        store.save()  # disk matches the synced snapshot: value must not drift
+        assert TimingStore(path).get("kafka", "llbp") == pytest.approx(2.0)
+
+    def test_stale_temp_swept_on_init(self, tmp_path):
+        path = tmp_path / "timings.meta"
+        stale = tmp_path / "timings.meta.tmp.999999999"
+        stale.write_text("partial")
+        TimingStore(path)
+        assert not stale.exists()
+
+    def test_live_temp_kept(self, tmp_path):
+        path = tmp_path / "timings.meta"
+        live = tmp_path / f"timings.meta.tmp.{os.getpid()}"
+        live.write_text("in flight")
+        TimingStore(path)
+        assert live.exists()
+
+
+#: two shared-base groups of two cells each
+GROUPS = [(w, c, {}) for w in ("kafka", "nodeapp") for c in ("tsl_64k", "llbp")]
+
+
+class TestResume:
+    def test_rerun_after_worker_death_simulates_only_missing_cells(
+        self, tmp_path, doom_task, monkeypatch
+    ):
+        expected = Runner(SMALL).run_cells(GROUPS)
+        cache_dir = tmp_path / "cache"
+        # kafka's worker dies once nodeapp's two results are in the cache
+        doom_task("die", "kafka", cache_dir, finished=2)
+        crashed = Runner(SMALL, cache=ResultCache(cache_dir))
+        with pytest.raises(BrokenProcessPool):
+            crashed.run_cells(GROUPS, jobs=2)
+        assert crashed.sim_count == 2
+        totals = crashed.report.totals()
+        assert (totals["cells"], totals["simulated"]) == (4, 2)
+
+        probe = Runner(SMALL, cache=ResultCache(cache_dir))
+        cached = [probe.lookup_cached(w, c) is not None for w, c, _ in GROUPS]
+        assert cached == [False, False, True, True]  # exactly nodeapp's group
+
+        monkeypatch.undo()  # the rerun's workers run the real task
+        resumed = Runner(SMALL, cache=ResultCache(cache_dir))
+        assert resumed.run_cells(GROUPS, jobs=2) == expected
+        assert resumed.sim_count == 2
+
+    def test_join_host_releases_its_claims_when_a_worker_dies(self, tmp_path, doom_task):
+        cache_dir = tmp_path / "cache"
+        doom_task("die", "kafka", cache_dir, finished=2)
+        runner = Runner(SMALL, cache=ResultCache(cache_dir))
+        runner.coop = CoopScheduler(HostLedger(tmp_path / "hosts", host_id="solo"))
+        with pytest.raises(BrokenProcessPool):
+            runner.run_cells(GROUPS, jobs=2)
+        # peers can claim the missing cells at once, without waiting out a TTL
+        assert list((tmp_path / "hosts").glob("*.claim")) == []
+        assert len(ResultCache(cache_dir)) == 2
+
+
+class TestPoolTeardown:
+    def test_worker_death_leaves_no_workers(self, tmp_path, doom_task):
+        doom_task("die", "kafka", tmp_path)
+        with pytest.raises(BrokenProcessPool):
+            Runner(SMALL).run_cells(GROUPS, jobs=2)
+        assert wait_for_no_children()
+
+    def test_raising_task_reraises_its_exception(self, tmp_path, doom_task):
+        doom_task("raise", "kafka", tmp_path)
+        with pytest.raises(DoomedTaskError):
+            Runner(SMALL).run_cells(GROUPS, jobs=2)
+        assert wait_for_no_children()
+
+    def test_closing_the_iterator_kills_the_pool(self):
+        interrupts = obs_registry().counter("parallel.interrupts")
+        before = interrupts.value
+        report = RunReport()
+        cells = [(w, "tsl_16k", {}) for w in ("kafka", "nodeapp", "whiskey", "tomcat")]
+        results = run_cells_parallel(SMALL, cells, 2, report=report)
+        next(results)
+        results.close()  # what a cancelled service job does
+        assert interrupts.value == before + 1
+        assert report.interrupted
+        assert wait_for_no_children()

@@ -1,6 +1,7 @@
 """Tests for the structured cache keys and the persistent result cache."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -285,3 +286,27 @@ class TestRunnerMemoryManagement:
         runner.run_one("kafka", "tsl_16k")
         runner.release("kafka")
         assert len(runner._results) == 1
+
+
+class TestCorruptWriteSelfHealing:
+    def test_quarantine_then_resimulate_bit_identical(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        expected = Runner(SMALL).run_one("kafka", "tsl_16k")
+        writer = Runner(SMALL, cache=ResultCache(cache_dir))
+        writer.run_one("kafka", "tsl_16k")
+        # well-formed JSON of the right version, but no result: the shape
+        # a write torn between its fields would leave
+        (entry,) = cache_dir.glob("*.json")
+        payload = json.loads(entry.read_text())
+        del payload["result"]
+        entry.write_text(json.dumps(payload))
+
+        healer = Runner(SMALL, cache=ResultCache(cache_dir))
+        assert healer.run_one("kafka", "tsl_16k") == expected
+        assert healer.sim_count == 1
+        assert healer.cache.quarantined == 1
+        assert list(cache_dir.glob("*.json.corrupt"))
+
+        warm = Runner(SMALL, cache=ResultCache(cache_dir))
+        assert warm.run_one("kafka", "tsl_16k") == expected
+        assert warm.sim_count == 0  # the healed entry serves the repeat run
