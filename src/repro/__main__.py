@@ -3,7 +3,7 @@
 Commands:
 
 * ``run``        -- simulate one or more predictor configurations on workloads
-* ``report``     -- regenerate one of the paper's tables/figures
+* ``report``     -- regenerate paper tables/figures (several names, or ``all``)
 * ``serve``      -- run the experiment service daemon (HTTP job queue)
 * ``submit``     -- submit a matrix to a running daemon (``--wait`` to block)
 * ``status``     -- query a running daemon's health / job states
@@ -17,6 +17,7 @@ Examples::
     python -m repro run --workload nodeapp --config tsl_64k --config llbpx
     python -m repro report fig12 --workloads kafka,nodeapp
     python -m repro report fig12 --jobs 4 --cache-dir ~/.cache/repro
+    python -m repro report all --jobs 2
     python -m repro run --workload kafka --config llbp --telemetry .telemetry \
         --sample-interval 20000 --metrics-out metrics.json
     python -m repro obs-report .telemetry
@@ -654,13 +655,36 @@ def _render_report(runner: Runner, name: str, workloads, jobs: int) -> str:
     raise SystemExit(f"unknown report {name!r}")  # pragma: no cover - argparse choices guard this
 
 
+def _report_name(value: str) -> str:
+    if value != "all" and value not in KNOWN_REPORTS:
+        raise argparse.ArgumentTypeError(
+            f"unknown report {value!r}; known: {', '.join(KNOWN_REPORTS)}, all"
+        )
+    return value
+
+
+def _report_names(args: argparse.Namespace) -> List[str]:
+    """The reports ``repro report NAME...`` renders, ``all`` expanded in CLI order."""
+    names = [args.name] + list(args.more)
+    return [report for name in names for report in (KNOWN_REPORTS if name == "all" else (name,))]
+
+
 def cmd_report(args: argparse.Namespace) -> int:
+    """Render each named report on one runner, a blank line between reports.
+
+    The runner's memo carries every trace and base stream from one
+    report to the next, so shared baselines are generated and recorded
+    once per invocation.
+    """
     runner = _make_runner(args)
     try:
-        text = _render_report(runner, args.name, args.workloads, args.jobs)
+        for index, name in enumerate(_report_names(args)):
+            text = _render_report(runner, name, args.workloads, args.jobs)
+            if index:
+                print()
+            print(text)
     except BrokenProcessPool:
         return _worker_died(runner)
-    print(text)
     _finish_run(args, runner)
     return 0
 
@@ -763,8 +787,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", action="append", required=True, choices=KNOWN_CONFIGS)
     p_run.set_defaults(func=cmd_run)
 
-    p_report = sub.add_parser("report", parents=[common], help="regenerate a paper table/figure")
-    p_report.add_argument("name", choices=KNOWN_REPORTS)
+    p_report = sub.add_parser(
+        "report", parents=[common], help="regenerate paper tables/figures on one runner"
+    )
+    p_report.add_argument(
+        "name",
+        choices=KNOWN_REPORTS + ("all",),
+        metavar="NAME",
+        help="a report (%s), or all of them" % ", ".join(KNOWN_REPORTS),
+    )
+    # validated by type=, not choices=: argparse checks an empty "*"
+    # positional's [] against choices and rejects it
+    p_report.add_argument(
+        "more",
+        nargs="*",
+        type=_report_name,
+        metavar="NAME",
+        help="further reports, rendered in order on the same runner",
+    )
     p_report.add_argument(
         "--workloads",
         type=_workload_list,

@@ -38,12 +38,23 @@ _ANALYSIS_OVERRIDES = dict(
 
 
 def _run_instrumented(runner: Runner, workload: str, context_depth: int) -> LLBP:
-    """Run the instrumented limit-LLBP and return it (tracker populated)."""
+    """Run the instrumented limit-LLBP and return it (tracker populated).
+
+    Its tail replays the runner's ``tsl_64k`` base stream for the
+    workload, recorded at most once per runner.
+    """
     bundle = runner.bundle(workload)
     config = llbp_default(
         scale=runner.config.scale, context_depth=context_depth, **_ANALYSIS_OVERRIDES
     )
-    predictor = LLBP(config, tsl_64k(scale=runner.config.scale), bundle.tensors, bundle.contexts)
+    tage_config = tsl_64k(scale=runner.config.scale)
+    predictor = LLBP(
+        config,
+        tage_config,
+        bundle.tensors,
+        bundle.contexts,
+        base=runner.shared_base(workload, tage_config),
+    )
     simulate(predictor, bundle.trace, bundle.tensors, warmup_fraction=runner.config.warmup_fraction)
     return predictor
 

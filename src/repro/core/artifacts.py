@@ -387,12 +387,12 @@ class ArtifactStore:
         """Pre-record base streams for every (workload, base config) pair.
 
         Returns ``(built, skipped)`` -- pairs whose stream already exists
-        are skipped.  Recording goes through the same :class:`SharedBase`
-        pass a group runs, so a later run adopts these streams
+        are skipped.  Recording goes through the resolver a group uses
+        (:meth:`~repro.core.runner.Runner.shared_base`), which saves each
+        fresh stream here, so a later run adopts these streams
         bit-identically.
         """
         from repro.core.runner import Runner
-        from repro.tage.batched_state import SharedBase
 
         base_configs = list(base_configs)
         built = 0
@@ -403,12 +403,10 @@ class ArtifactStore:
                 if self.has_base_stream(workload, config, base_cfg):
                     skipped += 1
                     continue
-                bundle = runner.bundle(workload)
-                shared = SharedBase(base_cfg, bundle.tensors)
-                shared.record(bundle.trace, bundle.tensors)
-                self.save_base_stream(workload, config, base_cfg, shared.packed_stream())
+                runner.shared_base(workload, base_cfg)
                 built += 1
-            runner.release(workload)
+            # the streams are on disk now: keep one workload in memory at a time
+            runner.clear_cache(bundles=True)
         return built, skipped
 
     def warm(self, workloads: Iterable[str], config: object) -> int:

@@ -6,11 +6,16 @@ whose predictors share a base :class:`~repro.tage.config.TageConfig` --
 a Fig-16 capacity sweep's LLBP-X lanes, or a ``tsl_64k``/``llbp``/
 ``llbpx`` column -- run as one *group*: the group records the base
 stream once, then runs each lane's tail over it (SC, pattern
-store/buffer, CTT).  A lone cell is a one-lane group.  With an
+store/buffer, CTT).  A lone cell is a one-lane group.  The group takes
+its base from :meth:`Runner.shared_base <repro.core.runner.Runner.shared_base>`,
+which records a stream once per runner and (workload, base config) and
+memoises it, so a later group over the same base -- in the same
+``run_cells`` call, a later harness, or a pool worker seeded with the
+parent's memo -- adopts it and runs tail-only.  With an
 :class:`~repro.core.artifacts.ArtifactStore` attached the recording is
-persisted and the base is paid once *ever* per (bundle, base config):
-later runs -- and peer ``--join`` hosts -- adopt the stored stream and
-run tail-only.
+also persisted and the base is paid once *ever* per (bundle, base
+config): later runs -- and peer ``--join`` hosts -- adopt the stored
+stream.
 
 Why record/replay rather than numpy-stacked lane state: at realistic
 lane counts (2-8) the per-branch cost of even one vectorised
@@ -34,7 +39,6 @@ from repro.core.simulator import SimulationResult, simulate
 from repro.llbp.config import LLBPConfig, llbp_default, llbpx_default
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.spans import span
-from repro.tage.batched_state import SharedBase
 from repro.tage.config import TageConfig, preset_by_name
 
 if TYPE_CHECKING:
@@ -141,8 +145,9 @@ class LaneOutcome:
     cell: "Cell"
     result: SimulationResult
     seconds: float
-    #: whether the group's base stream was adopted from the artifact
-    #: store (tail-only replay) instead of freshly recorded
+    #: whether the group's base stream was adopted -- from the runner's
+    #: memo or the artifact store (tail-only replay) -- instead of
+    #: freshly recorded
     base_warm: bool = False
     #: the lane's predictor instance (full final table state, for
     #: equivalence tests); dropped before results cross process borders
@@ -153,14 +158,15 @@ def run_group(runner: "Runner", workload: str, cells: Sequence["Cell"]) -> List[
     """Execute one group: the base once, then each lane's tail.
 
     Every cell must share ``base_config`` (callers use
-    :func:`plan_batches`).  When the runner has an artifact store and it
-    holds this (bundle, base config) stream, the base pass is skipped
-    entirely -- the stream is adopted ``mmap``-backed and only the lane
-    tails run; a freshly recorded stream is persisted for every later
-    run.  Per-lane *results* -- counts, stats, extra -- are bit-identical
-    either way; final predictor *table state* matches a predictor that
-    ran its own base only on the record path (an adopted base leaves the
-    core/loop untrained, which tails never read).
+    :func:`plan_batches`).  The base comes from ``runner.shared_base``:
+    when the runner's memo or its artifact store holds this (bundle,
+    base config) stream, the base pass is skipped entirely -- the stream
+    is adopted and only the lane tails run; otherwise it is recorded,
+    memoised and, with a store, persisted.  Per-lane *results* -- counts,
+    stats, extra -- are bit-identical either way; final predictor *table
+    state* matches a predictor that ran its own base only on the record
+    path (an adopted base never builds its core/loop, which tails never
+    read).
     """
     cells = list(cells)
     config = base_config(cells[0][1], runner.config.scale)
@@ -171,23 +177,7 @@ def run_group(runner: "Runner", workload: str, cells: Sequence["Cell"]) -> List[
     with span("backend.batched", workload=workload, lanes=len(cells), base=config.name):
         group_start = time.perf_counter()
         bundle = runner.bundle(workload)
-        shared = SharedBase(config, bundle.tensors)
-        artifacts = runner.artifacts
-        packed = None
-        if artifacts is not None:
-            packed = artifacts.load_base_stream(
-                workload, runner.config, config, expected_length=len(bundle.trace)
-            )
-        if packed is not None:
-            with span("backend.base", workload=workload, base=config.name, mode="load"):
-                shared.adopt_stream(packed)
-            registry.counter("backend.base_loads").inc()
-        else:
-            with span("backend.base", workload=workload, base=config.name, mode="record"):
-                shared.record(bundle.trace, bundle.tensors)
-            registry.counter("backend.base_records").inc()
-            if artifacts is not None:
-                artifacts.save_base_stream(workload, runner.config, config, shared.packed_stream())
+        shared = runner.shared_base(workload, config)
         registry.counter("backend.base_bytes").inc(shared.footprint_bytes())
         base_seconds = time.perf_counter() - group_start
         base_share = base_seconds / len(cells)

@@ -13,13 +13,19 @@ observed cell timings persisted alongside the result cache
 (:class:`~repro.core.results_io.TimingStore`) -- and ordering affects
 *wall-clock only*, never results.
 
-Workers amortise bundle construction two ways: a process-global
-:class:`~repro.core.runner.Runner` keeps the most recently used bundles
-alive across the cells a worker executes (LRU-bounded), and when an
-``artifact_dir`` is given every worker resolves bundles through the
-shared :class:`~repro.core.artifacts.ArtifactStore` -- an mmap + wrap
-whose pages all workers share -- instead of regenerating traces
-privately.
+Workers amortise trace generation, base records and bundle
+construction three ways.  Each pool's initializer seeds every worker's
+process-global :class:`~repro.core.runner.Runner` with the calling
+runner's memo of traces and base streams (no copy under ``fork``), and
+each task hands back the traces it generated and the streams it
+recorded, which the parent adds to its memo as the task completes -- so
+across ``run_cells`` calls each trace is generated, and each (workload,
+base config) stream recorded, about once per runner.  The worker runner
+keeps the most recently used bundles alive across the cells it executes
+(LRU-bounded).  And when an ``artifact_dir`` is given every worker
+resolves bundles and base streams through the shared
+:class:`~repro.core.artifacts.ArtifactStore` -- an mmap + wrap whose
+pages all workers share.
 
 Determinism: each cell's result is a pure function of ``(RunnerConfig,
 workload, config name, overrides)`` -- trace generation is seeded and the
@@ -44,7 +50,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.batched import base_config, plan_batches, run_group
 from repro.core.costmodel import (  # noqa: F401  (re-exported for compat)
@@ -99,6 +105,9 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 #: this worker executes, so bundles survive between same-workload cells
 _WORKER_STATE: Dict[str, object] = {"key": None, "runner": None}
 
+#: ``(traces, streams)``: a runner's memo (``Runner._traces``/``_streams``)
+Memo = Tuple[Dict[str, object], Dict[Tuple[str, object], object]]
+
 
 def _worker_runner(config: "RunnerConfig", artifact_dir: Optional[str]):
     """The process-global worker Runner (rebuilt when the config changes).
@@ -119,6 +128,18 @@ def _worker_runner(config: "RunnerConfig", artifact_dir: Optional[str]):
     return _WORKER_STATE["runner"]
 
 
+def _seed_worker(config: "RunnerConfig", artifact_dir: Optional[str], memo: Memo) -> None:
+    """Pool initializer: a fresh worker runner that starts from ``memo``.
+
+    A forked worker may inherit a runner from its parent (a direct
+    :func:`simulate_task` call); it is never reused.
+    """
+    _WORKER_STATE["key"] = None
+    runner = _worker_runner(config, artifact_dir)
+    runner._traces.update(memo[0])
+    runner._streams.update(memo[1])
+
+
 def _trim_worker_bundles(runner, workload: str, config: "RunnerConfig") -> None:
     """LRU-bound the bundles a worker keeps: re-admit ``workload`` as most
     recent, then drop the oldest beyond the cap."""
@@ -128,6 +149,19 @@ def _trim_worker_bundles(runner, workload: str, config: "RunnerConfig") -> None:
         runner._bundles[bundle_key] = bundle
     while len(runner._bundles) > MAX_WORKER_BUNDLES:
         runner._bundles.pop(next(iter(runner._bundles)))
+
+
+class TaskResult(NamedTuple):
+    """What one task returns: per-cell records plus the task's products.
+
+    ``traces`` and ``streams`` hold the memo entries the task added --
+    traces it generated and base streams it recorded -- so they travel
+    with the results of the task that made them.
+    """
+
+    records: List[Tuple[Cell, SimulationResult, float, bool]]
+    traces: Dict[str, object]
+    streams: Dict[Tuple[str, object], object]
 
 
 @dataclass(frozen=True)
@@ -152,15 +186,16 @@ def simulate_task(
     cells: Sequence[Cell],
     artifact_dir: Optional[str] = None,
     telemetry: Optional[TelemetryConfig] = None,
-) -> List[Tuple[Cell, SimulationResult, float, bool]]:
-    """Worker entry point: execute one task; returns per-cell records.
+) -> TaskResult:
+    """Worker entry point: execute one task; returns a :class:`TaskResult`.
 
-    ``(cell, result, seconds, base_warm)`` per member, where a grouped
-    lane's seconds are its tail plus an equal share of the group's base
-    pass (the cost the scheduler should learn under the ``batched`` --
-    or, when the base stream was adopted from the artifact store,
-    ``batched+warm`` -- key).  The measured seconds include any bundle
-    build/load the task paid for.
+    Its records are ``(cell, result, seconds, base_warm)`` per member,
+    where a grouped lane's seconds are its tail plus an equal share of
+    the group's base pass (the cost the scheduler should learn under the
+    ``batched`` -- or, when the base stream was adopted from the memo or
+    the artifact store, ``batched+warm`` -- key).  The measured seconds
+    include any bundle build/load the task paid for.  Its traces and
+    streams are what this task added to the worker runner's memo.
 
     ``telemetry`` attaches this worker to the run's telemetry directory
     (per-pid event/metrics files; see :mod:`repro.obs`).  The metrics
@@ -170,6 +205,7 @@ def simulate_task(
     if telemetry is not None:
         obs_ensure(telemetry[0], sample_interval=telemetry[1])
     runner = _worker_runner(config, artifact_dir)
+    known_traces, known_streams = set(runner._traces), set(runner._streams)
     workload = cells[0][0]
     out: List[Tuple[Cell, SimulationResult, float, bool]] = []
     plan = plan_batches([(w, n, dict(o)) for w, n, o in cells], config.scale)
@@ -183,7 +219,11 @@ def simulate_task(
     if telemetry is not None:
         obs_flush()
     _trim_worker_bundles(runner, workload, config)
-    return out
+    return TaskResult(
+        out,
+        {w: trace for w, trace in runner._traces.items() if w not in known_traces},
+        {key: packed for key, packed in runner._streams.items() if key not in known_streams},
+    )
 
 
 # -- parent side ---------------------------------------------------------------
@@ -249,6 +289,7 @@ def run_cells_parallel(
     report=None,
     telemetry: Optional[TelemetryConfig] = None,
     base_warm: Optional[Callable[[str, object], bool]] = None,
+    memo: Optional[Memo] = None,
 ) -> Iterator[Tuple[Cell, SimulationResult]]:
     """Fan cells out over ``jobs`` processes, longest-expected-first.
 
@@ -261,6 +302,11 @@ def run_cells_parallel(
     under the ``batched`` or ``batched+warm`` key; ``report`` (a
     :class:`~repro.core.run_report.RunReport`) receives per-cell timings,
     batched groups and the cost model's predictions.
+
+    ``memo`` is the calling runner's ``(traces, streams)``: every worker
+    starts from it, and each completed task's products are added to it
+    before its results are yielded, so the next call's pool starts with
+    them.  A task that fails adds nothing.
 
     Nothing is retried.  When a task raises, or a worker dies
     (``BrokenProcessPool``), the results of every task that completed in
@@ -311,8 +357,13 @@ def run_cells_parallel(
                     report.record_prediction(predicted, seconds)
             yield (workload, name, overrides), result
 
+    traces, streams = memo if memo is not None else ({}, {})
     # the *pool* is bounded by real cores even when the caller asked for more
-    pool = ProcessPoolExecutor(max_workers=max(1, min(effective_jobs(jobs), len(ordered))))
+    pool = ProcessPoolExecutor(
+        max_workers=max(1, min(effective_jobs(jobs), len(ordered))),
+        initializer=_seed_worker,
+        initargs=(config, artifact_dir, (traces, streams)),
+    )
     inflight: Dict[Future, _Task] = {}
     interrupted = False
     try:
@@ -331,11 +382,13 @@ def run_cells_parallel(
             for future in done:
                 task = inflight.pop(future)
                 try:
-                    records = future.result()
+                    output = future.result()
                 except Exception as exc:  # a raising task or a dead worker
                     failure = failure or exc
                     continue
-                yield from book(task, records)
+                traces.update(output.traces)
+                streams.update(output.streams)
+                yield from book(task, output.records)
             if failure is not None:
                 raise failure
     except (KeyboardInterrupt, GeneratorExit):

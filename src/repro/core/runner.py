@@ -15,14 +15,27 @@ deep-for-transitioned) are evaluated and the better one reported.  Both
 replays fix every context's depth ahead of time, which is exactly the
 paper's definition; dynamic adaptation may still occasionally win (the
 paper observes this for Chirper).  The three passes are three LLBP-X
-tails over one recorded base stream.
+tails over one base stream.
+
+A runner also memoises, for its whole lifetime, each workload's trace
+and each (workload, base config) packed base stream.  Every harness
+that asks one runner for the same baselines -- Table I's ``tsl_64k``
+bases back Figs 4, 12 and 14-16, and the Fig 6-9 analyses -- then
+generates each trace and records each base once.  :meth:`Runner.shared_base`
+is the one resolver every user of base streams goes through: memo, then
+artifact store, then a fresh record.  Pool workers start from the
+parent's memo and hand back what they produce
+(:mod:`repro.core.parallel`).
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.artifacts import ArtifactStore
 from repro.core.batched import plan_batches, resolve_configs, run_group
@@ -106,6 +119,15 @@ class Runner:
     ``report`` is a :class:`~repro.core.run_report.RunReport`
     accumulating per-cell records (source, seconds, base warmth) across
     this runner's ``run_cells`` calls.
+
+    The runner memoises what it generates and records: ``_traces``
+    (workload -> :class:`~repro.traces.Trace`, numpy columns, 22
+    B/branch) and ``_streams`` ((workload, base config) -> packed
+    ``uint64`` base stream, 8 B/branch).  :meth:`bundle` builds from a
+    memoised trace instead of generating it again, and
+    :meth:`shared_base` adopts a memoised stream instead of recording it
+    again.  :meth:`release` keeps the memo, so it outlives every harness
+    that runs on this runner; ``clear_cache(bundles=True)`` drops it.
     """
 
     def __init__(
@@ -138,6 +160,10 @@ class Runner:
         self.artifact_load_seconds = 0.0
         self.sim_seconds = 0.0
         self._bundles: Dict[Tuple[str, int, Optional[int]], WorkloadBundle] = {}
+        #: generated traces and recorded base streams, kept for the
+        #: runner's lifetime (see the class docstring)
+        self._traces: Dict[str, Trace] = {}
+        self._streams: Dict[Tuple[str, TageConfig], np.ndarray] = {}
         self._results: Dict[ResultKey, SimulationResult] = {}
         self._timings: Optional[TimingStore] = None
         #: run ledger every run_matrix appends one record to.  ``None``
@@ -189,9 +215,14 @@ class Runner:
                     self._bundles[key] = loaded
                     return loaded
             start = time.perf_counter()
-            trace = generate_workload(
-                workload, num_branches=self.config.num_branches, seed=self.config.seed
-            )
+            trace = self._traces.get(workload)
+            if trace is None:
+                trace = generate_workload(
+                    workload, num_branches=self.config.num_branches, seed=self.config.seed
+                )
+                self._traces[workload] = trace
+            # the copy shares the columns; its aslists cache goes with the bundle
+            trace = copy.copy(trace)
             tensors = TraceTensors(trace)
             bundle = WorkloadBundle(trace, tensors, ContextStreams(tensors))
             self.bundle_builds += 1
@@ -204,21 +235,61 @@ class Runner:
             self._bundles[key] = bundle
             return bundle
 
+    def shared_base(self, workload: str, base_cfg: TageConfig) -> SharedBase:
+        """The workload's base under ``base_cfg``, with its stream resolved.
+
+        The stream comes from the first of: this runner's memo, the
+        artifact store, or a fresh :meth:`SharedBase.record`, which is
+        memoised and, with a store attached, persisted.  A memoised or
+        loaded stream is adopted (``base.adopted``), so the lanes over it
+        run tail-only and the base never builds its TAGE core.
+        """
+        bundle = self.bundle(workload)
+        shared = SharedBase(base_cfg, bundle.tensors)
+        registry = obs_registry()
+        key = (workload, base_cfg)
+        packed = self._streams.get(key)
+        if packed is not None:
+            with span("backend.base", workload=workload, base=base_cfg.name, mode="memo"):
+                shared.adopt_stream(packed)
+            registry.counter("backend.base_memo_hits").inc()
+            return shared
+        if self.artifacts is not None:
+            packed = self.artifacts.load_base_stream(
+                workload, self.config, base_cfg, expected_length=len(bundle.trace)
+            )
+        if packed is not None:
+            with span("backend.base", workload=workload, base=base_cfg.name, mode="load"):
+                shared.adopt_stream(packed)
+            registry.counter("backend.base_loads").inc()
+            return shared
+        with span("backend.base", workload=workload, base=base_cfg.name, mode="record"):
+            shared.record(bundle.trace, bundle.tensors)
+        registry.counter("backend.base_records").inc()
+        self._streams[key] = shared.packed_stream()
+        if self.artifacts is not None:
+            self.artifacts.save_base_stream(workload, self.config, base_cfg, shared.packed_stream())
+        return shared
+
     def base_stream_warm(self, workload: str, base_cfg: TageConfig) -> bool:
-        """Whether a persisted base stream exists for (workload, base).
+        """Whether (workload, base)'s stream is memoised or persisted.
 
         The parallel scheduler's cost estimate uses it (a warm group runs
-        tail-only) -- a cheap ``is_file`` probe, no load.
+        tail-only) -- a dict lookup or a cheap ``is_file`` probe, no load.
         """
+        if (workload, base_cfg) in self._streams:
+            return True
         return self.artifacts is not None and self.artifacts.has_base_stream(
             workload, self.config, base_cfg
         )
 
     def release(self, workload: str, results: bool = False) -> None:
-        """Drop the cached trace/tensors of a workload (bounds memory).
+        """Drop the cached bundle (tensors, contexts) of a workload (bounds memory).
 
         With ``results`` the workload's memoised simulation results are
-        dropped too (disk-cache entries are kept).
+        dropped too (disk-cache entries are kept).  The trace and base
+        stream memo is kept: a later bundle rebuilds from the memoised
+        trace, and later groups adopt the memoised streams.
         """
         key = (workload, self.config.num_branches, self.config.seed)
         self._bundles.pop(key, None)
@@ -229,14 +300,16 @@ class Runner:
         """Drop every memoised result (long sweeps grow ``_results`` unboundedly).
 
         Returns the number of entries dropped.  With ``bundles`` the
-        per-workload precomputation is dropped too.  The persistent disk
-        cache, if any, is untouched -- use ``runner.cache.clear()`` for
-        that.
+        per-workload precomputation and the trace and base-stream memo
+        are dropped too.  The persistent disk cache, if any, is untouched
+        -- use ``runner.cache.clear()`` for that.
         """
         dropped = len(self._results)
         self._results.clear()
         if bundles:
             self._bundles.clear()
+            self._traces.clear()
+            self._streams.clear()
         return dropped
 
     # -- cache plumbing ---------------------------------------------------------
@@ -295,8 +368,9 @@ class Runner:
 
         ``base`` optionally passes a
         :class:`~repro.tage.batched_state.SharedBase` whose stream the
-        predictor's tail replays (:func:`repro.core.batched.run_group`);
-        without one the predictor owns its base.
+        predictor's tail replays (usually from :meth:`shared_base`);
+        without one the predictor owns its base and records it on its
+        first ``step``.
         """
         if name == "llbpx_optw":
             raise KeyError("llbpx_optw is a three-pass cell; run it with run_one")
@@ -356,7 +430,7 @@ class Runner:
 
     def _run_optw(self, workload: str, bundle: WorkloadBundle, **overrides) -> SimulationResult:
         """Profile-then-replay Opt-W (see module docstring)."""
-        base = SharedBase(resolve_configs("llbpx_optw", self.config.scale)[0], bundle.tensors)
+        base = self.shared_base(workload, resolve_configs("llbpx_optw", self.config.scale)[0])
         profile = self.build_predictor("llbpx", bundle, base=base, **overrides)
         simulate(profile, bundle.trace, bundle.tensors, warmup_fraction=self.config.warmup_fraction)
         deep_oracle = {cid: True for cid in profile.deep_history}
@@ -458,6 +532,7 @@ class Runner:
                     report=self.report,
                     telemetry=obs_worker_config(),
                     base_warm=self.base_stream_warm,
+                    memo=(self._traces, self._streams),
                 ):
                     self.sim_count += 1
                     finish(result_key(workload, name, overrides), result)

@@ -30,19 +30,32 @@ class Fig1Row:
     branch_stall_share: float
 
 
+def _machine_runner(machine: MachineConfig, runner: Optional[Runner]) -> Runner:
+    """The runner a machine's cells run on.
+
+    The caller's own runner when the machine's config equals it (no
+    cell simulates twice); otherwise a runner sharing the caller's
+    result cache and artifact store, with no ledger of its own.
+    """
+    base_config = runner.config if runner is not None else RunnerConfig()
+    config = RunnerConfig(
+        scale=machine.predictor_scale,
+        num_branches=base_config.num_branches,
+        warmup_fraction=base_config.warmup_fraction,
+    )
+    if runner is None:
+        return Runner(config)
+    if config == runner.config:
+        return runner
+    return Runner(config, cache=runner.cache, artifacts=runner.artifacts, ledger=False)
+
+
 def _run_machine(
     machine: MachineConfig,
-    base_runner_config: RunnerConfig,
+    runner: Runner,
     workloads: Sequence[str],
     jobs: int = 1,
 ) -> List[Fig1Row]:
-    runner = Runner(
-        RunnerConfig(
-            scale=machine.predictor_scale,
-            num_branches=base_runner_config.num_branches,
-            warmup_fraction=base_runner_config.warmup_fraction,
-        )
-    )
     runner.run_cells([(w, "tsl_64k", {}) for w in workloads], jobs=jobs)
     rows = []
     for workload in workloads:
@@ -66,11 +79,10 @@ def run_fig01(
     workloads: Optional[Sequence[str]] = None,
     jobs: int = 1,
 ) -> List[Fig1Row]:
-    base_config = runner.config if runner is not None else RunnerConfig()
     names = list(workloads) if workloads is not None else list(FIG1_WORKLOADS)
     rows: List[Fig1Row] = []
     for machine in (skylake_like(), sapphire_rapids_like()):
-        rows.extend(_run_machine(machine, base_config, names, jobs=jobs))
+        rows.extend(_run_machine(machine, _machine_runner(machine, runner), names, jobs=jobs))
     return rows
 
 

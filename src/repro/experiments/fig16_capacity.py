@@ -79,8 +79,9 @@ def run_fig16b(
 
     Only the TSL baselines run through ``run_cells`` (over ``jobs``
     workers) -- the LLBP-X-over-small-TSL runs are built directly on the
-    bundle (no config name), so they stay in-process and reuse the
-    bundles the baselines built.
+    bundle (no config name), so they stay in-process, reuse the bundles
+    the baselines built and replay the base streams the baselines
+    recorded (``runner.shared_base``).
     """
     names = list(workloads) if workloads is not None else default_workloads("subset")
     runner.run_cells(
@@ -100,6 +101,7 @@ def run_fig16b(
                 tage_config,
                 bundle.tensors,
                 bundle.contexts,
+                base=runner.shared_base(workload, tage_config),
             )
             improved = simulate(
                 predictor, bundle.trace, bundle.tensors,

@@ -76,29 +76,55 @@ BASE_STREAM_DTYPE = np.uint64
 class SharedBase:
     """One TAGE core + loop predictor, recorded over a trace.
 
-    Construction builds the components; :meth:`record` advances them over
-    every conditional record exactly once while packing the per-branch
-    outputs the lane tails need.  Lanes built with ``base=`` this object
-    share its core and loop, so after the record pass their table state
-    is exactly that of a predictor that ran the base itself.
+    The components are built on first use of :attr:`core`/:attr:`loop`;
+    :meth:`record` advances them over every conditional record exactly
+    once while packing the per-branch outputs the lane tails need.  Lanes
+    built with ``base=`` this object share its core and loop, so after
+    the record pass their table state is exactly that of a predictor that
+    ran the base itself.
 
-    :meth:`adopt_stream` is the warm path: a stream persisted by an
-    earlier run (same bundle, same base config -- the
-    :class:`~repro.core.artifacts.ArtifactStore` keys it so) is adopted
-    directly and the base pass is skipped entirely.  Lane *results*
-    (counts, stats, extra) are bit-identical either way -- the tails read
-    only the packed words -- though an adopted base leaves the core/loop
-    tables untrained, since nothing replays into them.
+    :meth:`adopt_stream` is the warm path: a stream recorded earlier
+    (same bundle, same base config) -- held in a
+    :class:`~repro.core.runner.Runner`'s memo or persisted by the
+    :class:`~repro.core.artifacts.ArtifactStore` -- is adopted directly
+    and the base pass is skipped entirely.  Lane *results* (counts,
+    stats, extra) are bit-identical either way -- the tails read only the
+    packed words.  An adopted base never builds its core unless something
+    asks for it, and then gets untrained tables, since nothing replays
+    into them.
     """
 
     def __init__(self, config: TageConfig, tensors: TraceTensors) -> None:
         self.config = config
         self.tensors = tensors
-        self.core = TageCore(config, tensors)
-        self.loop = LoopPredictor(config.loop_entries) if config.use_loop else None
+        self._core: Optional[TageCore] = None
+        self._loop: Optional[LoopPredictor] = None
         self._packed: Optional[np.ndarray] = None
         #: whether the stream arrived via :meth:`adopt_stream` (warm)
         self.adopted = False
+
+    def _build(self) -> None:
+        self._core = TageCore(self.config, self.tensors)
+        self._loop = LoopPredictor(self.config.loop_entries) if self.config.use_loop else None
+
+    @property
+    def core(self) -> TageCore:
+        """The TAGE core, built (with the loop predictor) on first use.
+
+        :meth:`record` and the ``predict``/``update`` oracle use it; a
+        base whose stream was adopted never pays for its tables and index
+        streams unless something reads them.
+        """
+        if self._core is None:
+            self._build()
+        return self._core
+
+    @property
+    def loop(self) -> Optional[LoopPredictor]:
+        """The loop predictor (``None`` when the config has none), built with :attr:`core`."""
+        if self._core is None:
+            self._build()
+        return self._loop
 
     def record(self, trace, tensors: TraceTensors) -> None:
         """Advance the base over the whole trace, recording outputs.
@@ -220,7 +246,8 @@ def instrumented(predictor, kernel: StepFn) -> StepFn:
     Without ``--sample-interval`` the bare tail runs untouched.  Samples
     read the predictor's state mid-run; TAGE gauges read the base core,
     which the record pass trained over the whole trace before the tail
-    started.
+    started -- or, for a lane over an adopted stream, an untrained core
+    built by the first sample.
     """
     sampler = active_sampler()
     if sampler is None:

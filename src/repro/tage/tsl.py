@@ -20,10 +20,10 @@ from typing import Dict, Optional
 from repro.common.stats import StatGroup
 from repro.tage.batched_state import SharedBase, StepFn, instrumented
 from repro.tage.config import TageConfig
-from repro.tage.loop_predictor import LoopPrediction
+from repro.tage.loop_predictor import LoopPrediction, LoopPredictor
 from repro.tage.statistical_corrector import SCPrediction, StatisticalCorrector
 from repro.tage.streams import TraceTensors
-from repro.tage.tage import TagePrediction
+from repro.tage.tage import TageCore, TagePrediction
 
 
 @dataclass
@@ -45,8 +45,8 @@ class TageSCL:
     """A complete TAGE-SC-L instance bound to one trace.
 
     ``base`` optionally passes a :class:`SharedBase` that other lanes
-    share (:mod:`repro.core.batched`); its core and loop become this
-    TSL's ``tage``/``loop``.  Without one, the TSL owns a base of its own.
+    share (:mod:`repro.core.batched`); its core and loop are this TSL's
+    ``tage``/``loop``.  Without one, the TSL owns a base of its own.
     """
 
     def __init__(
@@ -55,11 +55,19 @@ class TageSCL:
         self.config = config
         self.name = config.name
         self.base = base if base is not None else SharedBase(config, tensors)
-        self.tage = self.base.core
-        self.loop = self.base.loop
         self.sc = StatisticalCorrector(config, tensors) if config.use_sc else None
         self.stats = StatGroup(f"tsl[{config.name}]")
         self._step: Optional[StepFn] = None
+
+    @property
+    def tage(self) -> TageCore:
+        """The base's TAGE core (built on first use; the tail never reads it)."""
+        return self.base.core
+
+    @property
+    def loop(self) -> Optional[LoopPredictor]:
+        """The base's loop predictor, built with :attr:`tage`."""
+        return self.base.loop
 
     @property
     def step(self) -> StepFn:

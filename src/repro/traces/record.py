@@ -94,6 +94,24 @@ class Trace:
         self._list_cache: Dict[str, List] = {}
         self._num_cond_cache: Tuple[int, int] = (-1, 0)  # (len at computation, value)
 
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle (and ``copy.copy``) as numpy columns only.
+
+        The :meth:`aslists` cache holds plain-int lists several times the
+        size of the columns, so it never travels: a copy shares the
+        columns and starts with empty caches.
+        """
+        state = {
+            column: np.asarray(getattr(self, column), dtype=dtype)
+            for column, dtype in COLUMN_DTYPES.items()
+        }
+        state.update(name=self.name, seed=self.seed, meta=self.meta)
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
+
     def append(self, pc: int, target: int, kind: BranchKind, taken: bool, inst_gap: int) -> None:
         if inst_gap < 0:
             raise ValueError(f"inst_gap must be non-negative, got {inst_gap}")

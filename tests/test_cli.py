@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.__main__ import KNOWN_CONFIGS, KNOWN_REPORTS, build_parser, main
+from repro.__main__ import KNOWN_CONFIGS, KNOWN_REPORTS, _report_names, build_parser, main
 from repro.core import ResultCache, Runner, RunnerConfig, RunReport
 from repro.core.run_report import REPORT_FORMAT_VERSION
 
@@ -33,6 +33,14 @@ class TestParser:
         assert args.name == "fig12"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["report", "fig99"])
+
+    def test_report_takes_several_names_and_all(self):
+        args = build_parser().parse_args(["report", "fig04", "fig12"])
+        assert _report_names(args) == ["fig04", "fig12"]
+        assert _report_names(build_parser().parse_args(["report", "all"])) == list(KNOWN_REPORTS)
+        assert len(KNOWN_REPORTS) == 16
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["report", "fig04", "fig99"])
 
     def test_workloads_csv_parsing(self):
         args = build_parser().parse_args(["report", "fig12", "--workloads", "kafka,nodeapp"])
@@ -140,6 +148,15 @@ class TestExecution:
     def test_report_table2(self, capsys):
         assert main(["report", "table2"]) == 0
         assert "576 ROB" in capsys.readouterr().out
+
+    def test_report_several_names_joins_single_outputs(self, capsys):
+        argv = ["--workloads", "kafka", "--branches", "2000"]
+        singles = []
+        for name in ("fig04", "fig12"):
+            assert main(["report", name] + argv) == 0
+            singles.append(capsys.readouterr().out)
+        assert main(["report", "fig04", "fig12"] + argv) == 0
+        assert capsys.readouterr().out == singles[0] + "\n" + singles[1]
 
     def test_report_table1_small(self, capsys):
         code = main(["report", "table1", "--workloads", "kafka", "--branches", "8000"])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import ResultCache, Runner, RunnerConfig
 from repro.core.limit_study import LIMIT_STEPS, cumulative_overrides
 from repro.experiments import (
     format_breakdown,
@@ -21,6 +22,7 @@ from repro.experiments import (
     format_table2,
     run_breakdown,
     run_ctt_sweep,
+    run_fig01,
     run_fig04,
     run_fig05,
     run_fig06_07,
@@ -95,6 +97,20 @@ class TestAnalysisFigures:
 
 
 class TestTimingFigures:
+    def test_fig01_runs_on_the_callers_stores(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        config = RunnerConfig(num_branches=2000)
+        runner = Runner(config, cache=cache)
+        rows = run_fig01(runner, WORKLOADS)
+        # the aggressive machine's config is the caller's: its cell ran there
+        assert runner.sim_count == len(WORKLOADS)
+        assert cache.stats()["writes"] == 2 * len(WORKLOADS)
+
+        again = Runner(config, cache=cache)
+        assert run_fig01(again, WORKLOADS) == rows
+        assert again.sim_count == 0
+        assert cache.stats()["writes"] == 2 * len(WORKLOADS)  # nothing simulated
+
     def test_fig13(self, quick_runner):
         rows = run_fig13(quick_runner, WORKLOADS, configs=("llbp",))
         text = format_fig13(rows, configs=("llbp",))

@@ -116,7 +116,7 @@ class TestCellGranularScheduling:
         ungrouped = [("kafka", "llbpx_optw", {})]
         two_lanes = [("kafka", "tsl_64k", {}), ("kafka", "llbp", {})]
         for cells in (ungrouped, two_lanes):
-            records = simulate_task(SMALL, cells)
+            records = simulate_task(SMALL, cells).records
             assert sorted(name for (_, name, _), _, _, _ in records) == sorted(
                 name for _, name, _ in cells
             )
