@@ -8,6 +8,12 @@ profile and every predictor family, in both finite and infinite TAGE
 modes, a simulation driven by the fused kernel must produce *identical*
 misprediction counts, statistics, derived metrics, and -- the strong
 form -- identical internal predictor state down to every table entry.
+
+The LLBP-family tail specialises on its design at build time, so
+:data:`TAIL_VARIANTS` runs every configuration branch it has -- zero
+latency, the Fig 5 limit-study ladder, useful-pattern tracking, the
+wrong-path model, LLBP-X without history ranges, a CTT under eviction
+pressure, and Opt-W's oracle depths -- against the oracle as well.
 """
 
 from __future__ import annotations
@@ -17,14 +23,43 @@ from typing import Dict
 
 import pytest
 
+from repro.core.batched import resolve_configs
+from repro.core.limit_study import LIMIT_STEPS, cumulative_overrides
 from repro.core.simulator import simulate
-from repro.llbp import LLBP, LLBPX, ContextStreams, llbp_default, llbpx_default
+from repro.llbp import LLBP, LLBPX, ContextStreams, LLBPXConfig, llbp_default, llbpx_default
 from repro.tage import TageSCL, TraceTensors, tsl_64k, tsl_infinite
 from repro.traces.workloads import WORKLOAD_NAMES, generate_workload
 from tests.conftest import TEST_SCALE
+from tests.test_golden import CTT_PRESSURE
 
 CONFIG_NAMES = ("tsl_64k", "llbp", "llbpx")
 NUM_BRANCHES = 2_000
+
+#: id -> ``(config, overrides)`` of every design branch the LLBP-family
+#: tail specialises on; ``oracle_depths=None`` asks for Opt-W's oracle,
+#: built from a CTT-pressure profiling pass
+TAIL_VARIANTS = {
+    "llbp_0lat": ("llbp_0lat", {}),
+    "llbpx_0lat": ("llbpx_0lat", {}),
+    **{
+        "llbp_0lat+" + label.lstrip("+").lower().replace(" ", "_"): (
+            "llbp_0lat",
+            cumulative_overrides(step),
+        )
+        for step, (label, _) in enumerate(LIMIT_STEPS)
+        if step > 0
+    },
+    "llbp+track_useful": ("llbp", {"track_useful": True}),
+    "llbp+false_path": ("llbp", {"model_false_path": True}),
+    "llbp+false_path_flushed": ("llbp", {"model_false_path": True, "flush_false_path": True}),
+    "llbpx+false_path": ("llbpx", {"model_false_path": True}),
+    "llbpx+false_path_flushed": ("llbpx", {"model_false_path": True, "flush_false_path": True}),
+    "llbpx+no_history_ranges": ("llbpx", {"use_history_ranges": False}),
+    "llbpx+ctt_pressure": ("llbpx", dict(CTT_PRESSURE)),
+    "llbpx_optw+ctt_pressure": ("llbpx", dict(CTT_PRESSURE, oracle_depths=None)),
+}
+#: profiles whose CTT-pressure runs evict and switch contexts to deep
+VARIANT_WORKLOADS = ("kafka", "merced", "whiskey")
 
 
 # -- state digests --------------------------------------------------------------
@@ -170,6 +205,41 @@ def test_fused_step_is_bit_identical(bundles, workload, config_name, mode):
     assert fused.stats == reference.stats
     assert fused.extra == reference.extra
     assert _predictor_state(fused_predictor) == _predictor_state(reference_predictor)
+
+
+def _build_variant(name, overrides, tensors, contexts):
+    tage_config, design = resolve_configs(name, TEST_SCALE, overrides)
+    family = LLBPX if isinstance(design, LLBPXConfig) else LLBP
+    return family(design, tage_config, tensors, contexts)
+
+
+@pytest.mark.parametrize("workload", VARIANT_WORKLOADS)
+@pytest.mark.parametrize("variant", TAIL_VARIANTS)
+def test_tail_variant_is_bit_identical(bundles, workload, variant):
+    trace, tensors, contexts = bundles[workload]
+    name, overrides = TAIL_VARIANTS[variant]
+    if "oracle_depths" in overrides:
+        # Opt-W: fix the depths a profiling pass switched to deep
+        profile = _build_variant(name, dict(overrides, oracle_depths=None), tensors, contexts)
+        simulate(profile, trace, tensors)
+        assert profile.deep_history, "the profiling pass made no context deep"
+        overrides = dict(overrides, oracle_depths={cid: True for cid in profile.deep_history})
+
+    fused_predictor = _build_variant(name, overrides, tensors, contexts)
+    fused = simulate(fused_predictor, trace, tensors, use_step=True)
+    reference_predictor = _build_variant(name, overrides, tensors, contexts)
+    reference = simulate(reference_predictor, trace, tensors, use_step=False)
+
+    assert fused.mispredictions == reference.mispredictions
+    assert fused.warmup_mispredictions == reference.warmup_mispredictions
+    assert fused.stats == reference.stats
+    assert fused.extra == reference.extra
+    assert _predictor_state(fused_predictor) == _predictor_state(reference_predictor)
+    if overrides == CTT_PRESSURE:
+        # the variant exists to exercise replacement and depth transitions
+        ctt_stats = fused_predictor.ctt.stats
+        assert ctt_stats.get("evictions") > 0
+        assert ctt_stats.get("to_deep") >= 1
 
 
 def test_use_step_true_requires_kernel(bundles):
