@@ -8,13 +8,16 @@ prediction)`` and ``on_unconditional(t, pc, target)`` can be simulated,
 which is exactly the interface of :class:`repro.tage.TageSCL` and the
 LLBP wrappers.
 
-Predictors may additionally expose a ``step(t, pc, taken) ->
-mispredicted`` kernel performing lookup and training in one call; when
-present the loop drives it instead of ``predict``/``update``.  Every
-shipped predictor's ``step`` is its lane tail over a recorded TAGE+loop
-base stream (:mod:`repro.tage.batched_state`); ``predict``/``update``
-drive the same components live and are the oracle the tails are tested
-against (``tests/test_step_equivalence.py``).
+Predictors may additionally expose a pair of kernels: ``step(t, pc,
+taken) -> mispredicted``, performing lookup and training in one call,
+and ``ub_step(start, end)``, running one run of unconditional records
+(``None`` when those records need no work).  When present the loop
+drives them instead of ``predict``/``update``/``on_unconditional``.
+Every shipped predictor's ``step`` is its lane tail over a recorded
+TAGE+loop base stream (:mod:`repro.tage.batched_state`);
+``predict``/``update``/``on_unconditional`` drive the same components
+live and are the oracle the tails are tested against
+(``tests/test_step_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -81,10 +84,11 @@ def simulate(
     ``warmup_fraction`` of the records train the predictor without being
     counted, mirroring the paper's warmup/measurement split.
 
-    ``use_step`` selects the hot-path kernel: ``None`` (default) uses the
-    predictor's ``step`` when it has one, ``True`` requires it, and
-    ``False`` forces the two-call ``predict``/``update`` path (the test
-    oracle; it never records a base stream).
+    ``use_step`` selects the hot-path kernels: ``None`` (default) uses
+    the predictor's ``step`` and ``ub_step`` when it has them, ``True``
+    requires them, and ``False`` forces the ``predict``/``update``/
+    ``on_unconditional`` path (the test oracle; it never records a base
+    stream).
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
@@ -101,6 +105,7 @@ def simulate(
     step = getattr(predictor, "step", None) if use_step is not False else None
     if use_step is True and step is None:
         raise ValueError(f"predictor {predictor.name!r} has no fused step kernel")
+    ub_step = predictor.ub_step if step is not None else None
     predict = predictor.predict
     update = predictor.update
     on_unconditional = predictor.on_unconditional
@@ -115,8 +120,11 @@ def simulate(
     # counting to the per-record loop (tests/test_simulator_runs.py).
     for start, end, is_cond in tensors.kind_runs():
         if not is_cond:
-            for t in range(start, end):
-                on_unconditional(t, pcs[t], targets[t])
+            if step is None:
+                for t in range(start, end):
+                    on_unconditional(t, pcs[t], targets[t])
+            elif ub_step is not None:
+                ub_step(start, end)
             continue
         split = min(max(start, warmup_end), end)
         if step is not None:

@@ -42,14 +42,16 @@ class ContextTrackingTable:
         self.assoc = assoc
         self.num_sets = max(1, entries // assoc)
         self.tag_bits = tag_bits
+        self.tag_mask = (1 << tag_bits) - 1
         self.counter_max = (1 << avg_hist_len_bits) - 1
         self.stats = StatGroup("ctt")
-        # one LRU-ordered dict of tag -> entry per set
+        # one LRU-ordered dict of tag -> entry per set; the LLBP-X lane
+        # tail probes it inline, exactly as lookup() does
         self._sets: Dict[int, "OrderedDict[int, CTTEntry]"] = {}
 
     def _locate(self, context_id: int) -> tuple:
         set_index = context_id % self.num_sets
-        tag = (context_id // self.num_sets) & ((1 << self.tag_bits) - 1)
+        tag = (context_id // self.num_sets) & self.tag_mask
         return set_index, tag
 
     def lookup(self, context_id: int) -> Optional[CTTEntry]:

@@ -26,8 +26,9 @@ latency turns prefetching into on-demand fills, ``infinite_patterns``
 unbounds the sets, ``infinite_contexts`` unbounds the directory, and
 ``no_contextualization`` keys pattern sets by branch PC.
 
-:meth:`LLBP.predict`/:meth:`LLBP.update` are the test oracle.  The
-simulation kernel, :attr:`LLBP.step`, is the LLBP lane tail
+:meth:`LLBP.predict`/:meth:`LLBP.update`/:meth:`LLBP.on_unconditional`
+are the test oracle.  The simulation kernels, :attr:`LLBP.step` and
+:attr:`LLBP.ub_step`, are the LLBP lane tail
 (:func:`repro.llbp.batched_state.build_llbp_tail`) over the TSL's
 recorded TAGE+loop base stream.
 """
@@ -47,7 +48,7 @@ from repro.llbp.pattern import Pattern, PatternSet, UsefulTracker, make_bucket_r
 from repro.llbp.pattern_buffer import PatternBuffer, PBEntry
 from repro.llbp.pattern_store import PatternStore
 from repro.llbp.rcr import CONTEXT_KINDS, ContextStreams
-from repro.tage.batched_state import SharedBase, StepFn, instrumented
+from repro.tage.batched_state import SharedBase, StepFn, UBStepFn, instrumented
 from repro.tage.config import HISTORY_LENGTHS, TageConfig, history_length_index
 from repro.tage.streams import TraceTensors, build_tag_streams
 from repro.tage.tsl import TSLPrediction, TageSCL
@@ -119,6 +120,11 @@ class LLBP:
             else None
         )
         self._step: Optional[StepFn] = None
+        self._ub_step: Optional[UBStepFn] = None
+
+    def _build_kernels(self) -> None:
+        step, self._ub_step = build_llbp_tail(self, self.tsl.base)
+        self._step = instrumented(self, step)
 
     @property
     def step(self) -> StepFn:
@@ -129,8 +135,20 @@ class LLBP:
         adopted.
         """
         if self._step is None:
-            self._step = instrumented(self, build_llbp_tail(self, self.tsl.base))
+            self._build_kernels()
         return self._step
+
+    @property
+    def ub_step(self) -> UBStepFn:
+        """The unconditional-record kernel ``simulate`` drives with :attr:`step`.
+
+        ``ub_step(start, end)`` counts the run's UBs and, for prefetching
+        designs, runs the prefetch path: the kernel counterpart of
+        :meth:`on_unconditional`.
+        """
+        if self._step is None:
+            self._build_kernels()
+        return self._ub_step
 
     def telemetry_sample(self) -> Dict[str, float]:
         """Periodic sampler payload: PB health plus the base TAGE core.

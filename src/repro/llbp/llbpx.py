@@ -30,15 +30,10 @@ from repro.llbp.config import LLBPXConfig
 from repro.llbp.ctt import ContextTrackingTable
 from repro.llbp.llbp import LLBP
 from repro.llbp.pattern import Pattern, PatternSet, make_bucket_ranges
-from repro.llbp.rcr import ContextStreams
+from repro.llbp.rcr import DEEP_BIT, ID_MASK, ContextStreams
 from repro.tage.batched_state import SharedBase
 from repro.tage.config import HISTORY_LENGTHS, TageConfig, history_length_index
 from repro.tage.streams import TraceTensors
-
-#: bit marking a context ID as produced with the deep depth; keeps the two
-#: ID spaces disjoint so a context's depth is recoverable from its ID
-DEEP_BIT = 1 << 62
-_ID_MASK = DEEP_BIT - 1
 
 
 class LLBPX(LLBP):
@@ -86,7 +81,7 @@ class LLBPX(LLBP):
         end = self._ub_prefix[t] - self.config.prefetch_distance - 1
         if end < 0:
             return -1
-        return self._shallow_window[end] & _ID_MASK
+        return self._shallow_window[end] & ID_MASK
 
     def _is_deep(self, shallow_id: int) -> bool:
         if self._oracle is not None:
@@ -97,15 +92,15 @@ class LLBPX(LLBP):
         end = self._ub_prefix[t] - self.config.prefetch_distance - 1
         if end < 0:
             return -1
-        shallow_id = self._shallow_window[end] & _ID_MASK
+        shallow_id = self._shallow_window[end] & ID_MASK
         if self._is_deep(shallow_id):
-            return (self._deep_window[end] & _ID_MASK) | DEEP_BIT
+            return (self._deep_window[end] & ID_MASK) | DEEP_BIT
         return shallow_id
 
     def _prefetch_id(self, ub_index: int) -> int:
-        shallow_id = self._shallow_window[ub_index] & _ID_MASK
+        shallow_id = self._shallow_window[ub_index] & ID_MASK
         if self._is_deep(shallow_id):
-            return (self._deep_window[ub_index] & _ID_MASK) | DEEP_BIT
+            return (self._deep_window[ub_index] & ID_MASK) | DEEP_BIT
         return shallow_id
 
     # -- depth-dependent pattern-set layout ---------------------------------------------

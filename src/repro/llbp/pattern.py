@@ -14,7 +14,12 @@ relevant bucket (LLBP's allocation policy).
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Sequence, Tuple
+
+#: an allocation's ``(lo_idx, hi_idx, slots)`` when nothing competes with
+#: it: an empty index range that never fills (unbounded sets)
+_NO_COMPETITION = (1, 0, sys.maxsize)
 
 
 class Pattern:
@@ -100,52 +105,53 @@ class PatternSet:
 
     # -- allocation ------------------------------------------------------------
 
-    def _bucket_of(self, length_index: int) -> Optional[Tuple[int, int, int]]:
-        assert self.bucket_ranges is not None
-        for bucket in self.bucket_ranges:
-            if bucket[0] <= length_index <= bucket[1]:
-                return bucket
-        return None
-
     def allocate(self, length_index: int, tag: int, taken: bool) -> Optional[Pattern]:
         """Insert a new pattern, evicting the least-confident on conflict.
 
-        Returns the new pattern, or ``None`` when the length is outside
-        every bucket range (LLBP-X drops such allocations, §V-C).
+        An existing ``(length_index, tag)`` pattern trains instead.  The
+        victim is the first least-confident pattern of the new pattern's
+        bucket (the whole set when unbucketed), found in the same pass
+        over the set as the existing-pattern check.  Returns the new
+        pattern, or ``None`` when the length is outside every bucket range
+        (LLBP-X drops such allocations, §V-C).
         """
-        existing = self.find(length_index, tag)
-        if existing is not None:
-            existing.update(taken, self.ctr_max, self.ctr_min)
-            self.dirty = True
-            return existing
+        capacity = self.capacity
+        if capacity <= 0:
+            bucket: Optional[Tuple[int, int, int]] = _NO_COMPETITION
+        elif self.bucket_ranges is None:
+            bucket = (0, sys.maxsize, capacity)  # the whole set competes
+        else:
+            bucket = None
+            for candidate in self.bucket_ranges:
+                if candidate[0] <= length_index <= candidate[1]:
+                    bucket = candidate
+                    break
+        lo, hi, slots = bucket if bucket is not None else _NO_COMPETITION
+        patterns = self.patterns
+        residents = 0
+        victim = -1
+        victim_conf = 0
+        for position, resident in enumerate(patterns):
+            index = resident.length_index
+            if index == length_index and resident.tag == tag:
+                resident.update(taken, self.ctr_max, self.ctr_min)
+                self.dirty = True
+                return resident
+            if lo <= index <= hi:
+                residents += 1
+                ctr = resident.ctr
+                conf = ctr if ctr >= 0 else -ctr - 1
+                if victim < 0 or conf < victim_conf:
+                    victim = position
+                    victim_conf = conf
 
-        pattern = Pattern(length_index, tag, taken)
         self.dirty = True
-
-        if self.capacity <= 0:  # unlimited
-            self.patterns.append(pattern)
-            return pattern
-
-        if self.bucket_ranges is not None:
-            bucket = self._bucket_of(length_index)
-            if bucket is None:
-                return None
-            lo, hi, slots = bucket
-            residents = [p for p in self.patterns if lo <= p.length_index <= hi]
-            if len(residents) < slots:
-                self.patterns.append(pattern)
-                return pattern
-            victim = min(residents, key=lambda p: p.confidence())
-            self.patterns.remove(victim)
-            self.patterns.append(pattern)
-            return pattern
-
-        if len(self.patterns) < self.capacity:
-            self.patterns.append(pattern)
-            return pattern
-        victim = min(self.patterns, key=lambda p: p.confidence())
-        self.patterns.remove(victim)
-        self.patterns.append(pattern)
+        if bucket is None:
+            return None
+        if residents >= slots:
+            del patterns[victim]
+        pattern = Pattern(length_index, tag, taken)
+        patterns.append(pattern)
         return pattern
 
     # -- bookkeeping ------------------------------------------------------------

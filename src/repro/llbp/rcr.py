@@ -12,7 +12,11 @@ computes, per context depth W:
 * helpers mapping record positions to UB indices, so a predictor can read
   its active context as ``window_hash[ub_prefix[t] - D - 1]`` and its
   prefetch trigger at UB ``k`` as ``window_hash[k]`` (that context becomes
-  active after D further UBs -- the latency-hiding window).
+  active after D further UBs -- the latency-hiding window), and
+
+* LLBP-X's context IDs (:meth:`ContextStreams.context_ids`): the window
+  hashes masked into the ID space, with :data:`DEEP_BIT` marking the deep
+  depth's, so every LLBP-X lane over one bundle shares one list per depth.
 
 Hashing uses a polynomial rolling hash mod 2**64 finalised with
 :func:`repro.common.mix64`.
@@ -20,7 +24,7 @@ Hashing uses a polynomial rolling hash mod 2**64 finalised with
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +34,12 @@ from repro.traces.record import BranchKind
 
 _B = 0x100000001B3  # odd polynomial base (FNV prime), invertible mod 2^64
 _M = (1 << 64) - 1
+
+#: bit marking an LLBP-X context ID as produced with the deep depth; keeps
+#: the two ID spaces disjoint so a context's depth is recoverable from its ID
+DEEP_BIT = 1 << 62
+#: the bits of a window hash an LLBP-X context ID keeps
+ID_MASK = DEEP_BIT - 1
 
 
 #: branch kinds that participate in context formation.  Calls and returns
@@ -108,6 +118,7 @@ class ContextStreams:
             self._values = _ub_values(tensors)
         self.num_ubs = len(self._values)
         self._hashes: Dict[int, List[int]] = {}
+        self._ids: Dict[Tuple[int, bool], List[int]] = {}
 
     def window_hashes(self, depth: int) -> List[int]:
         """Rolling hashes for context depth ``depth`` (cached)."""
@@ -121,6 +132,21 @@ class ContextStreams:
                     self.hash_cache.store_context_hashes(depth, hashes)
             self._hashes[depth] = hashes
         return self._hashes[depth]
+
+    def context_ids(self, depth: int, deep: bool) -> List[int]:
+        """LLBP-X context IDs per UB index at ``depth`` (cached).
+
+        Each window hash masked with :data:`ID_MASK`, and with
+        :data:`DEEP_BIT` set when ``deep`` -- what LLBP-X's depth selection
+        computes per branch, done once per UB for every lane of the bundle.
+        """
+        key = (depth, deep)
+        ids = self._ids.get(key)
+        if ids is None:
+            flag = DEEP_BIT if deep else 0
+            ids = [(h & ID_MASK) | flag for h in self.window_hashes(depth)]
+            self._ids[key] = ids
+        return ids
 
     def context_of_record(self, t: int, depth: int, distance: int) -> int:
         """Active context ID for the branch at record ``t`` (-1 while cold).

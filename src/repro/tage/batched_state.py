@@ -24,14 +24,15 @@ The recording is held as a packed ``uint64`` numpy array end-to-end --
 8 B/branch, mmap-sharable, and persistable as-is by the
 :class:`~repro.core.artifacts.ArtifactStore` (the stream is a pure
 function of trace bundle + base config, so one recording serves every
-later run).  Tail kernels read it through ``ndarray.item`` so only plain
-Python ints enter the per-branch hot path -- numpy scalar types must
-never leak into predictor hashing.
+later run).  Tail kernels read it through :meth:`SharedBase.words`, one
+plain-int list per base that all of its lanes share, so only plain Python
+ints enter the per-branch hot path -- numpy scalar types must never leak
+into predictor hashing.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 import numpy as np
 
@@ -46,6 +47,9 @@ if TYPE_CHECKING:
 
 #: a per-branch kernel: ``step(t, pc, taken) -> mispredicted``
 StepFn = Callable[[int, int, bool], bool]
+#: an unconditional-record kernel: ``ub_step(start, end)`` runs the
+#: unconditional records ``start .. end - 1`` of one same-kind run
+UBStepFn = Callable[[int, int], None]
 
 # -- packed base-record layout (one int per trace record) ----------------------
 #
@@ -100,6 +104,7 @@ class SharedBase:
         self._core: Optional[TageCore] = None
         self._loop: Optional[LoopPredictor] = None
         self._packed: Optional[np.ndarray] = None
+        self._words: Optional[List[int]] = None
         #: whether the stream arrived via :meth:`adopt_stream` (warm)
         self.adopted = False
 
@@ -172,9 +177,10 @@ class SharedBase:
                     | ((provider + 1) << BASE_PROVIDER_SHIFT)
                     | (conf << BASE_CONF_SHIFT)
                 )
-        # the transient plain-int list exists only within this call; the
-        # stream is held (and persisted) as a packed uint64 array
+        # the stream is held (and persisted) as a packed uint64 array;
+        # words() makes the lanes' plain-int view when a tail asks for it
         self._packed = np.asarray(packed, dtype=BASE_STREAM_DTYPE)
+        self._words = None
 
     def adopt_stream(self, packed: np.ndarray) -> None:
         """Adopt a previously persisted stream instead of recording one.
@@ -187,6 +193,7 @@ class SharedBase:
         if packed.ndim != 1:
             raise ValueError(f"packed base stream must be 1-D, got shape {packed.shape}")
         self._packed = packed if packed.dtype == BASE_STREAM_DTYPE else packed.astype(BASE_STREAM_DTYPE)
+        self._words = None
         self.adopted = True
 
     @property
@@ -203,6 +210,16 @@ class SharedBase:
             self.record(self.tensors.trace, self.tensors)
         return self._packed
 
+    def words(self) -> List[int]:
+        """The packed stream as a plain-int list, the lane tails' view of it.
+
+        Built once per base and shared by every lane over it: a group
+        holds one plain-int copy of its stream, however many lanes it has.
+        """
+        if self._words is None:
+            self._words = self.packed_stream().tolist()
+        return self._words
+
     def footprint_bytes(self) -> int:
         """Approximate memory held by the recorded stream (docs/telemetry)."""
         return 0 if self._packed is None else int(self._packed.nbytes)
@@ -213,27 +230,32 @@ class SharedBase:
         """Per-lane tail kernel for a plain TAGE-SC-L cell.
 
         Replays the recorded base outputs and runs only the lane's own
-        statistical corrector and statistics.
+        statistical corrector and statistics.  Counters the oracle creates
+        on their first increment are created on their first increment
+        here too, so the result's stats hold the same keys.
         """
-        # ndarray.item returns a plain Python int -- numpy scalars must
-        # not leak into the SC's hashing, and plain-int bit ops are faster
-        packed_word = self.packed_stream().item
+        words = self.words()
         sc_fused = tsl.sc.fused_step if tsl.sc is not None else None
-        stats = tsl.stats
-        predictions_counter = stats.counter("predictions")
-        stats_add = stats.add
+        counter = tsl.stats.counter
+        predictions_counter = counter("predictions")
+        mispredictions = fast_path_overrides = None
 
         def tail(t: int, pc: int, taken: bool) -> bool:
-            word = packed_word(t)
+            nonlocal mispredictions, fast_path_overrides
+            word = words[t]
             tsl_pred = (word & BASE_TSL_PRED) != 0
             if sc_fused is not None:
                 final = sc_fused(t, pc, tsl_pred, word >> BASE_CONF_SHIFT, taken)
             else:
                 final = tsl_pred
             if final != taken:
-                stats_add("mispredictions")
+                if mispredictions is None:
+                    mispredictions = counter("mispredictions")
+                mispredictions.value += 1
             if final != ((word & BASE_BIM_PRED) != 0):
-                stats_add("fast_path_overrides")
+                if fast_path_overrides is None:
+                    fast_path_overrides = counter("fast_path_overrides")
+                fast_path_overrides.value += 1
             predictions_counter.value += 1
             return final != taken
 

@@ -42,6 +42,11 @@ class StatisticalCorrector:
         self._mask = (1 << index_bits) - 1
         # length 0 = bias table indexed by pc alone; others use history hashes
         self._history_lengths = [length for length in SC_HISTORY_LENGTHS if length > 0]
+        if len(self._history_lengths) != 4:
+            # the fused kernel unrolls exactly four history tables
+            raise ValueError(
+                "the SC kernel needs 4 history tables, got %d" % len(self._history_lengths)
+            )
         self.idx_streams: List[array] = build_index_streams(
             tensors, self._history_lengths, [index_bits] * len(self._history_lengths)
         )
@@ -129,8 +134,9 @@ class StatisticalCorrector:
         prediction``: one call evaluates the corrector *and* trains it,
         matching ``predict()`` followed by ``update()`` bit for bit without
         constructing an :class:`SCPrediction`.  Tables, streams, and masks
-        are hoisted into locals; the adaptive threshold stays on ``self``
-        (it is only rewritten on the rare override path).
+        are hoisted into locals and the four history tables are unrolled;
+        the adaptive threshold stays on ``self`` (it is only rewritten on
+        the rare override path).
         """
         bias = self._bias
         mask = self._mask
@@ -139,7 +145,8 @@ class StatisticalCorrector:
         local_mask = self._local_mask
         local_slot_mask = self._local_slot_mask
         local_bits_mask = (1 << self._local_bits) - 1
-        table_streams = tuple(zip(self._tables, self.idx_streams))
+        table0, table1, table2, table3 = self._tables
+        stream0, stream1, stream2, stream3 = self.idx_streams
         ctr_max = self._ctr_max
         ctr_min = self._ctr_min
         stats_add = self.stats.add
@@ -150,9 +157,20 @@ class StatisticalCorrector:
             slot = pc2 & local_slot_mask
             history = local_hist[slot]
             local_idx = (pc2 ^ (pc >> 7) ^ history * 3 ^ (history >> 4)) & local_mask
-            total = 2 * bias[bias_idx] + 1 + 2 * (2 * local_table[local_idx] + 1)
-            for table, stream in table_streams:
-                total += 2 * table[stream[t]] + 1
+            j0 = stream0[t]
+            j1 = stream1[t]
+            j2 = stream2[t]
+            j3 = stream3[t]
+            # sum over the six tables of (2 * counter + 1), the local
+            # table's term doubled
+            total = 7 + 2 * (
+                bias[bias_idx]
+                + 2 * local_table[local_idx]
+                + table0[j0]
+                + table1[j1]
+                + table2[j2]
+                + table3[j3]
+            )
             prior = 4 + 2 * (input_conf if input_conf < 3 else 3)
             total += prior if input_pred else -prior
 
@@ -176,11 +194,18 @@ class StatisticalCorrector:
                     value = local_table[local_idx]
                     if value < ctr_max:
                         local_table[local_idx] = value + 1
-                    for table, stream in table_streams:
-                        j = stream[t]
-                        value = table[j]
-                        if value < ctr_max:
-                            table[j] = value + 1
+                    value = table0[j0]
+                    if value < ctr_max:
+                        table0[j0] = value + 1
+                    value = table1[j1]
+                    if value < ctr_max:
+                        table1[j1] = value + 1
+                    value = table2[j2]
+                    if value < ctr_max:
+                        table2[j2] = value + 1
+                    value = table3[j3]
+                    if value < ctr_max:
+                        table3[j3] = value + 1
                 else:
                     value = bias[bias_idx]
                     if value > ctr_min:
@@ -188,11 +213,18 @@ class StatisticalCorrector:
                     value = local_table[local_idx]
                     if value > ctr_min:
                         local_table[local_idx] = value - 1
-                    for table, stream in table_streams:
-                        j = stream[t]
-                        value = table[j]
-                        if value > ctr_min:
-                            table[j] = value - 1
+                    value = table0[j0]
+                    if value > ctr_min:
+                        table0[j0] = value - 1
+                    value = table1[j1]
+                    if value > ctr_min:
+                        table1[j1] = value - 1
+                    value = table2[j2]
+                    if value > ctr_min:
+                        table2[j2] = value - 1
+                    value = table3[j3]
+                    if value > ctr_min:
+                        table3[j3] = value - 1
             local_hist[slot] = ((history << 1) | taken) & local_bits_mask
 
             if overrode:

@@ -9,7 +9,9 @@ provides; see ``repro.llbp.llbp``).  :meth:`predict`/:meth:`update` give
 the plain standalone-TSL behaviour and are the test oracle.
 
 The simulation kernel, :attr:`TageSCL.step`, is the TSL lane tail over a
-recorded TAGE+loop base stream (:mod:`repro.tage.batched_state`).
+recorded TAGE+loop base stream (:mod:`repro.tage.batched_state`).  A TSL
+has no unconditional-record work (:attr:`TageSCL.ub_step` is ``None``),
+so a simulation driving ``step`` skips those records.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.common.stats import StatGroup
-from repro.tage.batched_state import SharedBase, StepFn, instrumented
+from repro.tage.batched_state import SharedBase, StepFn, UBStepFn, instrumented
 from repro.tage.config import TageConfig
 from repro.tage.loop_predictor import LoopPrediction, LoopPredictor
 from repro.tage.statistical_corrector import SCPrediction, StatisticalCorrector
@@ -48,6 +50,9 @@ class TageSCL:
     share (:mod:`repro.core.batched`); its core and loop are this TSL's
     ``tage``/``loop``.  Without one, the TSL owns a base of its own.
     """
+
+    #: no unconditional-record kernel: :meth:`on_unconditional` is a no-op
+    ub_step: Optional[UBStepFn] = None
 
     def __init__(
         self, config: TageConfig, tensors: TraceTensors, base: Optional[SharedBase] = None

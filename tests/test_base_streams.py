@@ -43,11 +43,11 @@ def test_loaded_replay_is_bit_identical(workload, tmp_path):
     plan = plan_batches(cells, TEST_SCALE)
     assert [len(g) for g in plan.groups] == [len(CONFIG_NAMES)]
 
-    recorded = run_group(Runner(SMALL, artifacts=store), workload, plan.groups[0])
+    recorded = list(run_group(Runner(SMALL, artifacts=store), workload, plan.groups[0]))
     assert store.base_writes == 1 and store.base_loads == 0
     assert all(not outcome.base_warm for outcome in recorded)
 
-    replayed = run_group(Runner(SMALL, artifacts=store), workload, plan.groups[0])
+    replayed = list(run_group(Runner(SMALL, artifacts=store), workload, plan.groups[0]))
     assert store.base_loads == 1 and store.base_writes == 1  # no re-record
     assert all(outcome.base_warm for outcome in replayed)
 
@@ -161,7 +161,7 @@ def test_torn_stream_is_quarantined_and_regenerated(tmp_path):
     store = ArtifactStore(tmp_path / "artifacts")
     cells = [("kafka", name, {}) for name in ("llbp", "llbpx")]
     plan = plan_batches(cells, TEST_SCALE)
-    outcomes = run_group(Runner(SMALL, artifacts=store), "kafka", plan.groups[0])
+    outcomes = list(run_group(Runner(SMALL, artifacts=store), "kafka", plan.groups[0]))
 
     base = base_config("llbp", TEST_SCALE)
     path = store.base_stream_path("kafka", SMALL, base)
@@ -172,7 +172,7 @@ def test_torn_stream_is_quarantined_and_regenerated(tmp_path):
     assert path.with_name(f"{path.name}.corrupt").is_file() and not path.is_file()
 
     # the next group records a fresh stream over the same name, results intact
-    regenerated = run_group(Runner(SMALL, artifacts=store), "kafka", plan.groups[0])
+    regenerated = list(run_group(Runner(SMALL, artifacts=store), "kafka", plan.groups[0]))
     assert all(not outcome.base_warm for outcome in regenerated)
     assert [o.result for o in regenerated] == [o.result for o in outcomes]
     assert store.load_base_stream("kafka", SMALL, base) is not None

@@ -81,7 +81,7 @@ def test_batched_group_is_bit_identical(workload):
     assert plan.singles == [] and plan.fallbacks == 0
 
     batched_runner = Runner(SMALL)
-    outcomes = run_group(batched_runner, workload, plan.groups[0])
+    outcomes = list(run_group(batched_runner, workload, plan.groups[0]))
     assert [o.cell for o in outcomes] == cells
 
     reference_runner = Runner(SMALL)
