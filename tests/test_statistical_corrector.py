@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.core.simulator import simulate
 from repro.tage import StatisticalCorrector, TageSCL, TraceTensors, tsl_64k
 from repro.traces.record import BranchKind, Trace
@@ -69,6 +71,14 @@ class TestStatisticalCorrector:
                 miss += pred.pred != taken
             predictor.update(t, pc, taken, pred)
         assert miss / total < 0.05
+
+
+    def test_fused_kernel_requires_four_history_tables(self, monkeypatch):
+        import repro.tage.statistical_corrector as sc_module
+
+        monkeypatch.setattr(sc_module, "SC_HISTORY_LENGTHS", (0, 4, 10, 18))
+        with pytest.raises(ValueError, match="4 history tables"):
+            make_sc(make_cond_trace([True] * 10))
 
 
 class TestSCIntegration:
