@@ -19,11 +19,7 @@ Measures the experiment execution layer itself (not a paper figure):
   artifact store with a cold result cache (every cell simulates; the
   warm pass records zero streams and replays tail-only), on both
   capacity-sweep shapes -- one shared base and distinct-base
-  singletons, and
-* distributed execution: 1-host vs 2-host cooperative drains of one
-  cold shared store (ledger claims; zero duplicate simulations and
-  bit-identity asserted), plus the learned cost model's held-out MAPE
-  vs the static heuristic on the timing corpus the run persisted.
+  singletons.
 
 Results go to ``BENCH_throughput.json`` (repo root by default), seeding
 the repo's performance trajectory -- future perf PRs re-run this and
@@ -49,20 +45,8 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import multiprocessing
-
 from repro import obs
-from repro.core import (
-    ArtifactStore,
-    CoopScheduler,
-    HostLedger,
-    ResultCache,
-    Runner,
-    RunnerConfig,
-    TimingStore,
-    evaluate_cost_model,
-)
-from repro.core.results_io import TIMINGS_FILENAME
+from repro.core import ArtifactStore, ResultCache, Runner, RunnerConfig
 from repro.traces.workloads import clear_trace_cache
 
 DEFAULT_WORKLOADS = "kafka,nodeapp,tomcat,wikipedia"
@@ -313,102 +297,6 @@ def bench_base_streams(config, workloads, configs):
     return section
 
 
-def _coop_bench_host(config, cache_dir, host_id, workloads, configs, queue):
-    """One cooperating host process: join the shared store, drain, report."""
-    clear_trace_cache()
-    runner = Runner(config, cache=ResultCache(cache_dir))
-    runner.coop = CoopScheduler(
-        HostLedger(Path(cache_dir) / ".hosts", host_id=host_id), claim_batch=1
-    )
-    start = time.perf_counter()
-    matrix = runner.run_matrix(workloads, configs)
-    queue.put(
-        {
-            "host": host_id,
-            "seconds": round(time.perf_counter() - start, 3),
-            "simulations": runner.sim_count,
-            "claims": runner.report.claims,
-            "peer_results": runner.report.peer_results,
-            "mpki": {f"{w}/{c}": matrix[w][c].mpki for w in workloads for c in configs},
-        }
-    )
-
-
-def bench_distributed(config, workloads, configs):
-    """1-host vs 2-host cooperative drains of one cold shared store.
-
-    Each host count gets a fresh store; N processes join it with
-    ``CoopScheduler`` and drain the matrix via ledger claims.  Asserted
-    before any timing counts: zero duplicate simulations, and results
-    bit-identical across host counts.  Afterwards the surviving
-    ``TimingStore`` sample corpus scores the learned cost model against
-    the static heuristic (held-out MAPE) -- the quality the scheduler's
-    longest-predicted-first ordering actually runs on.
-    """
-    section = {"runs": []}
-    total_cells = len(workloads) * len(configs)
-    reference_mpki = None
-    ctx = multiprocessing.get_context("fork")
-    for hosts in (1, 2):
-        with tempfile.TemporaryDirectory(prefix="repro-bench-coop-") as cache_dir:
-            queue = ctx.Queue()
-            procs = [
-                ctx.Process(
-                    target=_coop_bench_host,
-                    args=(config, cache_dir, f"host{i}", workloads, configs, queue),
-                )
-                for i in range(hosts)
-            ]
-            start = time.perf_counter()
-            for proc in procs:
-                proc.start()
-            outcomes = [queue.get() for _ in procs]
-            for proc in procs:
-                proc.join()
-            wall = time.perf_counter() - start
-            total_sims = sum(o["simulations"] for o in outcomes)
-            assert total_sims == total_cells, (
-                f"{hosts}-host run duplicated simulations: {total_sims} != {total_cells}"
-            )
-            tables = [o["mpki"] for o in outcomes]
-            assert all(t == tables[0] for t in tables), "hosts disagree on results"
-            if reference_mpki is None:
-                reference_mpki = tables[0]
-            assert tables[0] == reference_mpki, "host count changed results"
-            section["runs"].append(
-                {
-                    "hosts": hosts,
-                    "wall_seconds": round(wall, 3),
-                    "total_simulations": total_sims,
-                    "duplicate_simulations": total_sims - total_cells,
-                    "per_host": [
-                        {k: o[k] for k in ("host", "seconds", "simulations", "claims", "peer_results")}
-                        for o in sorted(outcomes, key=lambda o: o["host"])
-                    ],
-                }
-            )
-            print(
-                f"distributed/{hosts}-host: {wall:7.2f}s  "
-                f"{total_sims} sims ({total_sims - total_cells} duplicated), "
-                f"claims {[o['claims'] for o in outcomes]}, bit-identical"
-            )
-            if hosts == 2:
-                # score the cost model on the corpus this run persisted
-                stats = evaluate_cost_model(TimingStore(Path(cache_dir) / TIMINGS_FILENAME))
-                section["cost_model"] = stats
-                if stats is not None:
-                    print(
-                        f"cost model: learned MAPE {stats['learned_mape_percent']}% vs "
-                        f"heuristic {stats['heuristic_mape_percent']}% on "
-                        f"{stats['samples']} held-out samples "
-                        f"({stats['improvement_percent']:+.1f} pts)"
-                    )
-    baseline = section["runs"][0]["wall_seconds"]
-    for row in section["runs"]:
-        row["speedup_vs_1host"] = round(baseline / row["wall_seconds"], 3)
-    return section
-
-
 def append_ledger_record(directory, args, workloads, configs, matrix_runs, mpki, wall_seconds):
     """Append this benchmark run to a run-history ledger (``--ledger``).
 
@@ -495,7 +383,6 @@ def main(argv=None) -> int:
     artifact_stats = bench_artifacts(config, workloads, configs)
     backend_stats = bench_backends(config, workloads, configs)
     base_stream_stats = bench_base_streams(config, workloads, configs)
-    distributed_stats = bench_distributed(config, workloads, configs)
 
     payload = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -516,7 +403,6 @@ def main(argv=None) -> int:
         "artifacts": artifact_stats,
         "backends": backend_stats,
         "base_streams": base_stream_stats,
-        "distributed": distributed_stats,
         "notes": (
             "speedup_vs_jobs1 is bounded by machine.cpu_count; on a >=4-core "
             "machine jobs=4 approaches 4x on this embarrassingly parallel "
@@ -539,15 +425,7 @@ def main(argv=None) -> int:
             "the 7-lane one-base sweep, where warm only saves the single "
             "record pass; distinct_bases is seven TSL presets, each its own "
             "base, where cold records one stream per lone cell and warm "
-            "replays each tail-only -- the persistent store's target shape. "
-            "distributed compares 1 vs 2 cooperating host processes draining "
-            "one cold shared store via ledger claims (zero duplicate "
-            "simulations and bit-identity asserted); on a single-core "
-            "machine 2 hosts time-slice one CPU, so the 2-host wall-clock "
-            "shows protocol overhead, not scaling -- run on separate cores/"
-            "machines for real speedup. distributed.cost_model scores the "
-            "learned regressor vs the length-x-weight heuristic by "
-            "leave-one-out MAPE on the timing samples the run persisted."
+            "replays each tail-only -- the persistent store's target shape."
         ),
     }
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")

@@ -4,9 +4,6 @@ Commands:
 
 * ``run``        -- simulate one or more predictor configurations on workloads
 * ``report``     -- regenerate paper tables/figures (several names, or ``all``)
-* ``serve``      -- run the experiment service daemon (HTTP job queue)
-* ``submit``     -- submit a matrix to a running daemon (``--wait`` to block)
-* ``status``     -- query a running daemon's health / job states
 * ``obs-report`` -- render a merged telemetry run (spans, metrics, groups)
 * ``obs-compact`` -- roll dead processes' telemetry files into merged segments
 * ``history``    -- inspect the run-history ledger (list/show/diff/regressions)
@@ -22,15 +19,11 @@ Examples::
         --sample-interval 20000 --metrics-out metrics.json
     python -m repro obs-report .telemetry
     python -m repro list
-    python -m repro serve --port 8765 --cache-dir .result-cache
-    python -m repro submit --url http://127.0.0.1:8765 \
-        --workload kafka --config tsl_64k --config llbp --wait
-    python -m repro status --url http://127.0.0.1:8765
 
 ``--jobs N`` fans uncached simulations out over N worker processes, one
-task per (workload, config) cell (bit-identical results); ``--cache-dir``
-persists every result so repeat invocations -- and other figures sharing
-cells -- skip simulation.  ``--artifact-dir`` persists trace artifacts so
+task per shared-base group, heaviest first (bit-identical results);
+``--cache-dir`` persists every result so repeat invocations -- and other
+figures sharing cells -- skip simulation.  ``--artifact-dir`` persists trace artifacts so
 warm bundles memory-map from disk instead of regenerating (parallel
 workers share the store) and shared-base streams replay tail-only
 instead of re-simulating the base; ``--warm-artifacts`` pre-builds every
@@ -139,24 +132,6 @@ def _make_runner(args: argparse.Namespace) -> Runner:
             base_built,
             base_skipped,
         )
-    if getattr(args, "join", False):
-        from repro.core.sched import HOSTS_DIRNAME, CoopScheduler, HostLedger
-
-        if cache is None:
-            print(
-                "--join requires --cache-dir (the shared result cache is the "
-                "inter-host result channel) and is incompatible with --no-cache",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
-        hosts_dir = getattr(args, "hosts_dir", None) or (cache.cache_dir / HOSTS_DIRNAME)
-        ledger = HostLedger(hosts_dir, host_id=getattr(args, "host_id", None))
-        claim_batch = getattr(args, "claim_batch", None)
-        if claim_batch:
-            runner.coop = CoopScheduler(ledger, claim_batch=claim_batch)
-        else:
-            runner.coop = CoopScheduler(ledger)
-        logger.info("joined multi-host run as %s (ledger: %s)", ledger.host_id, ledger.root)
     if runner.ledger is not None:
         runner.ledger_context["source"] = "cli"
     return runner
@@ -204,13 +179,6 @@ def _publish_run_gauges(runner: Runner) -> None:
     totals = runner.report.totals()
     for key in ("cells", "cached", "simulated", "seconds", "batched_groups", "batched_lanes", "base_warm"):
         registry.gauge("run.%s" % key).set(float(totals[key]))
-    stats = runner.report.prediction_stats()
-    if stats["mape_percent"] is not None:
-        registry.gauge("run.cost_mape_percent").set(float(stats["mape_percent"]))
-    if runner.report.host_id:
-        registry.gauge("run.claims").set(float(runner.report.claims))
-        registry.gauge("run.peer_results").set(float(runner.report.peer_results))
-        registry.gauge("run.reaped_claims").set(float(runner.report.reaped_claims))
 
 
 def _write_metrics(path: str) -> None:
@@ -458,26 +426,6 @@ def cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_matrix(workloads, configs, result_of) -> None:
-    """Render one matrix's summary lines (first config is the baseline).
-
-    Shared by ``run`` (local results) and ``submit --wait`` (results
-    fetched from the daemon's ``/results/<digest>`` endpoint), so the two
-    paths print byte-identical output for identical matrices -- CI diffs
-    them.
-    """
-    for workload in workloads:
-        baseline = None
-        for config in configs:
-            result = result_of(workload, config)
-            line = result.summary()
-            if baseline is None:
-                baseline = result
-            else:
-                line += f"  ({reduction(baseline, result):+5.1f}% vs {baseline.predictor})"
-            print(line)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     runner = _make_runner(args)
     progress = None
@@ -487,125 +435,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         matrix = runner.run_matrix(args.workload, args.config, progress=progress, jobs=args.jobs)
     except BrokenProcessPool:
         return _worker_died(runner)
-    _print_matrix(args.workload, args.config, lambda workload, config: matrix[workload][config])
+    # one line per cell; each workload's first config is its baseline
     for workload in args.workload:
+        baseline = None
+        for config in args.config:
+            result = matrix[workload][config]
+            line = result.summary()
+            if baseline is None:
+                baseline = result
+            else:
+                line += f"  ({reduction(baseline, result):+5.1f}% vs {baseline.predictor})"
+            print(line)
         runner.release(workload)
     _finish_run(args, runner)
-    return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import ExperimentService, ServiceServer
-
-    if not args.cache_dir or getattr(args, "no_cache", False):
-        print(
-            "serve requires --cache-dir (the shared result cache backs the "
-            "/results endpoint and the zero-duplicate-work guarantee) and is "
-            "incompatible with --no-cache",
-            file=sys.stderr,
-        )
-        return 2
-    service = ExperimentService(
-        args.cache_dir,
-        artifact_dir=args.artifact_dir,
-        events_dir=args.events_dir,
-        branches=args.branches,
-        scale=args.scale,
-        jobs=args.jobs,
-        quota=args.quota,
-        join=args.join,
-        hosts_dir=args.hosts_dir,
-        host_id=args.host_id,
-        claim_batch=args.claim_batch,
-    )
-    server = ServiceServer(
-        service,
-        host=args.host,
-        port=args.port,
-        on_ready=lambda srv: print(
-            f"service listening on http://{srv.host}:{srv.port}", flush=True
-        ),
-    )
-    server.serve_forever()
-    return 0
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient, ServiceError
-
-    client = ServiceClient(args.url)
-    spec = {
-        "workloads": args.workload,
-        "configs": args.config,
-        "branches": args.branches,
-        "scale": args.scale,
-        "jobs": args.jobs,
-        "priority": args.priority,
-    }
-    try:
-        job = client.submit(spec, tenant=args.tenant)
-    except (ServiceError, OSError) as exc:
-        print(f"submit failed: {exc}", file=sys.stderr)
-        return 1
-    # job-id chatter goes to stderr so `submit --wait` stdout stays
-    # byte-identical to `run` stdout for the same matrix
-    print(f"submitted {job['id']} to {args.url}", file=sys.stderr)
-    if not args.wait:
-        print(job["id"])
-        return 0
-    try:
-        final = client.wait(job["id"], timeout=args.timeout)
-    except (TimeoutError, ServiceError, OSError) as exc:
-        print(f"wait failed: {exc}", file=sys.stderr)
-        return 1
-    if final["state"] != "done":
-        print(
-            f"{job['id']} finished as {final['state']}: {final.get('error', '')}",
-            file=sys.stderr,
-        )
-        return 1
-    results = {
-        (cell["workload"], cell["config"]): client.result(cell["digest"])
-        for cell in final["cells"]
-    }
-    _print_matrix(
-        args.workload, args.config, lambda workload, config: results[(workload, config)]
-    )
-    report = final.get("report") or {}
-    logger.info(
-        "job %s: %s simulations, totals %s",
-        job["id"],
-        report.get("simulations"),
-        report.get("totals"),
-    )
-    return 0
-
-
-def cmd_status(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient, ServiceError
-
-    client = ServiceClient(args.url)
-    try:
-        if args.job_id:
-            print(json.dumps(client.job(args.job_id), indent=2, sort_keys=True))
-        else:
-            health = client.health()
-            states = health.get("jobs", {})
-            cache = health.get("cache", {})
-            print(
-                f"service ok: jobs={states} done={health.get('jobs_done', 0)} "
-                f"cache_hits={cache.get('hits', 0)} cache_entries={cache.get('entries', cache.get('writes', 0))}"
-            )
-            for entry in client.jobs():
-                spec = entry["spec"]
-                print(
-                    f"  {entry['id']}  {entry['state']:<9} tenant={spec['tenant']:<10} "
-                    f"{len(spec['workloads'])}x{len(spec['configs'])} cells "
-                    f"priority={spec['priority']}"
-                )
-    except (ServiceError, OSError) as exc:
-        print(f"status failed: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -723,29 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
         "zero shared-base passes",
     )
     common.add_argument(
-        "--join", action="store_true",
-        help="join an elastic multi-host run: claim uncached cells via the "
-        "shared ledger next to --cache-dir, adopt peer-published results, "
-        "and reap dead hosts' claims (requires --cache-dir; any number of "
-        "hosts sharing the directory cooperate, results stay bit-identical)",
-    )
-    common.add_argument(
-        "--host-id", default=None, metavar="ID",
-        help="with --join: this host's identity in the ledger "
-        "(default: <hostname>-<pid>)",
-    )
-    common.add_argument(
-        "--hosts-dir", default=None, metavar="DIR",
-        help="with --join: ledger directory for claims and heartbeats "
-        "(default: <cache-dir>/.hosts)",
-    )
-    common.add_argument(
-        "--claim-batch", type=int, default=None, metavar="N",
-        help="with --join: cells claimed per scheduling round (default: 4; "
-        "smaller batches spread work more evenly across hosts joining at "
-        "different times, larger ones reduce ledger round-trips)",
-    )
-    common.add_argument(
         "--report", default=None, metavar="PATH",
         help="write the structured run report (per-cell source and timings, "
         "cache and artifact health) as JSON to PATH",
@@ -812,70 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated workload subset (default: the figure's own set)",
     )
     p_report.set_defaults(func=cmd_report)
-
-    p_serve = sub.add_parser(
-        "serve", parents=[common],
-        help="run the experiment service daemon (HTTP job queue over a warm runner)",
-    )
-    p_serve.add_argument("--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)")
-    p_serve.add_argument(
-        "--port", type=int, default=8765,
-        help="TCP port (default: 8765; 0 binds an ephemeral port, printed on startup)",
-    )
-    p_serve.add_argument(
-        "--quota", type=int, default=0, metavar="N",
-        help="max queued+running jobs per tenant (default: 0 = unlimited); "
-        "a submit beyond the quota is rejected with HTTP 429",
-    )
-    p_serve.add_argument(
-        "--events-dir", default=None, metavar="DIR",
-        help="progress-event sink directory served by /jobs/<id>/events "
-        "(default: <cache-dir>/.service-events)",
-    )
-    p_serve.set_defaults(func=cmd_serve)
-
-    p_submit = sub.add_parser(
-        "submit", help="submit an experiment matrix to a running daemon"
-    )
-    p_submit.add_argument("--url", required=True, help="daemon URL, e.g. http://127.0.0.1:8765")
-    p_submit.add_argument("--workload", action="append", required=True, choices=WORKLOAD_NAMES)
-    p_submit.add_argument("--config", action="append", required=True, choices=KNOWN_CONFIGS)
-    p_submit.add_argument("--branches", type=int, default=120_000, help="trace length per workload")
-    p_submit.add_argument("--scale", type=int, default=8, help="capacity scale (DESIGN.md §1)")
-    p_submit.add_argument(
-        "--jobs", type=int, default=1, help="worker processes the daemon uses for this job"
-    )
-    p_submit.add_argument(
-        "--priority", type=int, default=0,
-        help="queue priority (higher runs first; FIFO within a priority)",
-    )
-    p_submit.add_argument("--tenant", default=None, help="tenant name for quota accounting")
-    p_submit.add_argument(
-        "--wait", action="store_true",
-        help="block until the job finishes, then fetch every cell's result from "
-        "/results/<digest> and print the same summary lines `repro run` prints",
-    )
-    p_submit.add_argument(
-        "--timeout", type=float, default=600.0, metavar="SECONDS",
-        help="with --wait: give up after SECONDS (default: 600)",
-    )
-    p_submit.add_argument(
-        "--log-level", choices=("debug", "info", "warning", "error"), default="warning",
-        help=argparse.SUPPRESS,
-    )
-    p_submit.set_defaults(func=cmd_submit)
-
-    p_status = sub.add_parser("status", help="query a running daemon's health and jobs")
-    p_status.add_argument("--url", required=True, help="daemon URL, e.g. http://127.0.0.1:8765")
-    p_status.add_argument(
-        "job_id", nargs="?", default=None,
-        help="job id for a full status + report dump (default: service summary)",
-    )
-    p_status.add_argument(
-        "--log-level", choices=("debug", "info", "warning", "error"), default="warning",
-        help=argparse.SUPPRESS,
-    )
-    p_status.set_defaults(func=cmd_status)
 
     p_obs = sub.add_parser(
         "obs-report", help="render a recorded telemetry run (spans, metrics, groups)"

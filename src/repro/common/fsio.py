@@ -1,11 +1,10 @@
 """Shared file-system primitives for the on-disk stores.
 
-Every store in the repo (result cache, artifact store, timing and
-cost-model files, telemetry, multi-host claims) writes through a
-per-pid temp file and an atomic rename.  A writer killed mid-write
-leaves its temp behind; these helpers decide whether such a file is an
-orphan that is safe to sweep, and whether a claim's owner is still
-alive.
+Every store in the repo (result cache, artifact store, telemetry, run
+ledger) writes through a per-pid temp file and an atomic rename.  A
+writer killed mid-write leaves its temp behind; these helpers decide
+whether such a file is an orphan that is safe to sweep, and whether the
+process that wrote a per-pid file is still alive.
 """
 
 from __future__ import annotations

@@ -9,15 +9,8 @@ from repro.core.analysis import (
 )
 from repro.core.artifacts import ARTIFACT_FORMAT_VERSION, ArtifactStore, BundleArtifacts
 from repro.core.batched import BatchPlan, LaneOutcome, base_config, plan_batches, run_group
-from repro.core.costmodel import (
-    CostModel,
-    LearnedCostModel,
-    evaluate_cost_model,
-    make_cost_model,
-)
 from repro.core.limit_study import LIMIT_STEPS, LimitStep, cumulative_overrides, run_limit_study
 from repro.core.parallel import effective_jobs
-from repro.core.sched import CoopScheduler, HostLedger, drain_cooperative
 from repro.core.run_report import CellReport, RunReport
 from repro.core.runner import (
     DEFAULT_BRANCHES,
@@ -32,7 +25,6 @@ from repro.core.runner import (
 )
 from repro.core.results_io import (
     ResultCache,
-    TimingStore,
     cache_digest,
     cache_key,
     freeze_overrides,
@@ -52,14 +44,10 @@ __all__ = [
     "CellReport",
     "ComparisonRow",
     "ContextProfile",
-    "CoopScheduler",
-    "CostModel",
     "DEFAULT_BRANCHES",
     "DEFAULT_SCALE",
-    "HostLedger",
     "LIMIT_STEPS",
     "LaneOutcome",
-    "LearnedCostModel",
     "LimitStep",
     "Predictor",
     "ResultCache",
@@ -67,7 +55,6 @@ __all__ = [
     "Runner",
     "RunnerConfig",
     "SimulationResult",
-    "TimingStore",
     "WorkloadBundle",
     "base_config",
     "cache_digest",
@@ -76,14 +63,11 @@ __all__ = [
     "context_profile",
     "cumulative_overrides",
     "depth_sweep_relative",
-    "drain_cooperative",
     "duplication_by_depth",
     "effective_jobs",
-    "evaluate_cost_model",
     "freeze_overrides",
     "geometric_mean_mpki",
     "load_results",
-    "make_cost_model",
     "plan_batches",
     "reduction",
     "result_from_dict",

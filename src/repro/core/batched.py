@@ -14,8 +14,7 @@ memoises it, so a later group over the same base -- in the same
 parent's memo -- adopts it and runs tail-only.  With an
 :class:`~repro.core.artifacts.ArtifactStore` attached the recording is
 also persisted and the base is paid once *ever* per (bundle, base
-config): later runs -- and peer ``--join`` hosts -- adopt the stored
-stream.
+config): later runs adopt the stored stream.
 
 Why record/replay rather than numpy-stacked lane state: at realistic
 lane counts (2-8) the per-branch cost of even one vectorised
@@ -139,8 +138,7 @@ class LaneOutcome:
 
     ``seconds`` is the lane's attributable wall time: its own tail
     simulation plus an equal share of the group's base pass -- the
-    number the :class:`~repro.core.results_io.TimingStore` observes
-    under the ``batched`` (or ``batched+warm``) key.
+    number the run report records for the cell.
     """
 
     cell: "Cell"

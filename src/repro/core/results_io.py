@@ -159,217 +159,6 @@ def cache_digest(key: Mapping[str, object]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
 
 
-# -- observed cell timings ----------------------------------------------------
-
-TIMINGS_FORMAT_VERSION = 1
-
-#: timing-store filename inside a cache directory.  Deliberately not
-#: ``*.json`` so :meth:`ResultCache.clear`/``__len__`` (which glob result
-#: entries by that pattern) never count or delete it.
-TIMINGS_FILENAME = "timings.meta"
-
-#: learned-cost-model coefficient file, persisted beside the timings
-#: (same non-``*.json`` convention; see :mod:`repro.core.costmodel`)
-COSTMODEL_FILENAME = "costmodel.meta"
-
-#: the key of unqualified timing observations, which bare pre-key entries
-#: migrate to; every simulated lane observes under the cost model's
-#: ``batched``/``batched+warm`` keys instead
-LEGACY_TIMING_KEY = "reference"
-
-
-class TimingStore:
-    """Persisted EMA of observed per-cell wall-clock seconds.
-
-    Feeds the parallel scheduler's cost model
-    (:class:`~repro.core.parallel.CostModel`): cells that have run before
-    are ordered by how long they actually took, not by a static estimate.
-    Lives alongside the result cache (one small JSON file, atomic
-    writes); timings are advisory -- a missing, stale, or corrupt file
-    only degrades scheduling order, never results -- so any load error is
-    treated as an empty store.  ``path=None`` keeps timings in memory
-    only (still useful within one invocation).  Saving *merges* with the
-    on-disk state instead of overwriting it, so two invocations sharing a
-    cache directory both contribute their observations; orphaned writer
-    temps from crashed processes are swept at construction.
-
-    Besides the keyed EMA map, the store accumulates a *sample
-    corpus* -- per ``(workload, config, key, trace length)`` EMA
-    seconds with an observation count -- which is what the learned cost
-    model (:mod:`repro.core.costmodel`) fits on.  The corpus rides in the
-    same file under a ``samples`` key that pre-corpus readers ignore, so
-    the format version is unchanged; merge-on-save semantics match the
-    EMA map (adopt foreign keys, blend contended ones).
-    """
-
-    def __init__(self, path: Optional[Union[str, Path]] = None, alpha: float = 0.5) -> None:
-        self.path = Path(path) if path is not None else None
-        self.alpha = alpha
-        self._data: Dict[str, float] = {}
-        self._samples: Dict[str, Dict[str, float]] = {}
-        if self.path is not None:
-            self._sweep_temps()
-            self._data, self._samples = self._read_disk()
-        #: snapshot of the on-disk state this store last loaded or wrote,
-        #: so save() can tell which keys another process updated since
-        self._synced: Dict[str, float] = dict(self._data)
-        self._synced_samples: Dict[str, float] = {
-            key: entry["s"] for key, entry in self._samples.items()
-        }
-        obs_registry().register_collector("timing_store", self.stats)
-
-    def stats(self) -> Dict[str, int]:
-        return {"entries": len(self._data), "samples": len(self._samples)}
-
-    def _read_disk(self) -> Tuple[Dict[str, float], Dict[str, Dict[str, float]]]:
-        """Current on-disk (timings, samples) (empty on any error).
-
-        Keys written before the key dimension existed
-        (``workload/config``) are migrated in place to
-        ``workload/config@reference`` (:data:`LEGACY_TIMING_KEY`) --
-        leaving them unmigrated would orphan the history the scheduler
-        ordered by.  Files written before the sample corpus existed
-        simply have no ``samples`` key.
-        """
-        try:
-            payload = json.loads(self.path.read_text())
-            if payload.get("version") != TIMINGS_FORMAT_VERSION:
-                return {}, {}
-            data = {str(k): float(v) for k, v in dict(payload.get("seconds", {})).items()}
-            samples = {
-                str(k): {"s": float(v["s"]), "n": float(v["n"])}
-                for k, v in dict(payload.get("samples", {})).items()
-            }
-            return (
-                {(k if "@" in k else f"{k}@{LEGACY_TIMING_KEY}"): v for k, v in data.items()},
-                samples,
-            )
-        except (FileNotFoundError, json.JSONDecodeError, KeyError, TypeError, ValueError, AttributeError):
-            return {}, {}
-
-    def _sweep_temps(self) -> int:
-        """Remove writer temps (``<name>.tmp.<pid>``) of dead processes."""
-        removed = 0
-        if self.path is None or not self.path.parent.is_dir():
-            return removed
-        for tmp in self.path.parent.glob(f"{self.path.name}.tmp.*"):
-            if stale_temp(tmp, tmp.name.rsplit(".", 1)[-1]):
-                try:
-                    tmp.unlink()
-                    removed += 1
-                except FileNotFoundError:  # pragma: no cover - concurrent sweep
-                    pass
-        return removed
-
-    @staticmethod
-    def key(workload: str, name: str, backend: str = LEGACY_TIMING_KEY) -> str:
-        """Timing key: how the cell ran is part of the identity.
-
-        A lane replaying an adopted base stream (``batched+warm``) costs
-        systematically less than one whose group recorded it
-        (``batched``); one EMA over both would corrupt the
-        longest-expected-first schedule for whichever runs next.
-        """
-        return f"{workload}/{name}@{backend}"
-
-    @staticmethod
-    def sample_key(workload: str, name: str, backend: str, branches: int) -> str:
-        """Corpus key: the trace length joins the identity (cost scales with it)."""
-        return f"{workload}/{name}@{backend}#{int(branches)}"
-
-    def get(self, workload: str, name: str, backend: str = LEGACY_TIMING_KEY) -> Optional[float]:
-        return self._data.get(self.key(workload, name, backend))
-
-    def observe(
-        self,
-        workload: str,
-        name: str,
-        seconds: float,
-        backend: str = LEGACY_TIMING_KEY,
-        branches: Optional[int] = None,
-    ) -> None:
-        """Blend one observation into the EMA (first observation wins whole).
-
-        With ``branches`` the observation also lands in the sample corpus
-        under its trace length, growing the learned cost model's training
-        set (callers that know the run length should always pass it).
-        """
-        key = self.key(workload, name, backend)
-        previous = self._data.get(key)
-        if previous is None:
-            self._data[key] = float(seconds)
-        else:
-            self._data[key] = self.alpha * float(seconds) + (1.0 - self.alpha) * previous
-        if branches is not None:
-            skey = self.sample_key(workload, name, backend, branches)
-            entry = self._samples.get(skey)
-            if entry is None:
-                self._samples[skey] = {"s": float(seconds), "n": 1.0}
-            else:
-                entry["s"] = self.alpha * float(seconds) + (1.0 - self.alpha) * entry["s"]
-                entry["n"] += 1.0
-
-    def samples(self) -> List[Tuple[str, str, str, int, float, int]]:
-        """The fit corpus: ``(workload, config, backend, branches, seconds,
-        count)`` rows in deterministic (sorted-key) order."""
-        rows = []
-        for key in sorted(self._samples):
-            cell, _, branches_text = key.rpartition("#")
-            ident, _, backend = cell.rpartition("@")
-            workload, _, name = ident.partition("/")
-            entry = self._samples[key]
-            rows.append(
-                (workload, name, backend, int(branches_text), entry["s"], int(entry["n"]))
-            )
-        return rows
-
-    @property
-    def sample_count(self) -> int:
-        return len(self._samples)
-
-    def save(self) -> None:
-        """Merge with the on-disk state, then persist atomically.
-
-        A plain overwrite is last-writer-wins: two concurrent invocations
-        sharing a cache dir would silently drop each other's timings.
-        Instead, keys another process added since our load are adopted,
-        and keys both sides updated are EMA-blended -- the merge is
-        heuristic (timings are advisory) but loses nobody's data.  The
-        sample corpus merges the same way (blend contended seconds, keep
-        the larger observation count).  No-op for in-memory stores.
-        """
-        if self.path is None:
-            return
-        disk, disk_samples = self._read_disk()
-        for key, disk_value in disk.items():
-            mine = self._data.get(key)
-            if mine is None:
-                self._data[key] = disk_value
-            elif disk_value != self._synced.get(key):
-                self._data[key] = self.alpha * mine + (1.0 - self.alpha) * disk_value
-        for key, disk_entry in disk_samples.items():
-            mine_entry = self._samples.get(key)
-            if mine_entry is None:
-                self._samples[key] = dict(disk_entry)
-            elif disk_entry["s"] != self._synced_samples.get(key):
-                mine_entry["s"] = self.alpha * mine_entry["s"] + (1.0 - self.alpha) * disk_entry["s"]
-                mine_entry["n"] = max(mine_entry["n"], disk_entry["n"])
-        payload = {
-            "version": TIMINGS_FORMAT_VERSION,
-            "seconds": self._data,
-            "samples": self._samples,
-        }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(f"{self.path.name}.tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        os.replace(tmp, self.path)
-        self._synced = dict(self._data)
-        self._synced_samples = {key: entry["s"] for key, entry in self._samples.items()}
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-
 # -- the persistent cache -----------------------------------------------------
 
 

@@ -3,10 +3,10 @@
 :class:`RunReport` records, per requested cell, where its result came
 from (``cached`` or ``simulated``; empty if the run stopped before the
 cell resolved), how long its simulation took and whether it replayed a
-persisted base stream; plus run-level records (batched group sizes, the
-cost model's predictions, multi-host claims, whether the run was
-interrupted) and -- at serialization time -- the result cache /
-artifact store health counters (hits, quarantined entries, swept temps).
+persisted base stream; plus run-level records (batched group sizes,
+whether the run was interrupted) and -- at serialization time -- the
+result cache / artifact store health counters (hits, quarantined
+entries, swept temps).
 
 The report is owned by the :class:`~repro.core.runner.Runner`
 (``runner.report``) and accumulates across ``run_cells`` calls within
@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.core.results_io import freeze_overrides
 from repro.obs.telemetry import emit_event
 
-REPORT_FORMAT_VERSION = 2
+REPORT_FORMAT_VERSION = 3
 
 
 @dataclass
@@ -55,21 +55,11 @@ class RunReport:
 
     def __init__(self) -> None:
         self._cells: Dict[Tuple[str, str, str], CellReport] = {}
-        #: the run was interrupted (Ctrl-C, or a service job cancellation)
+        #: the run was interrupted (Ctrl-C, or an abandoned pool iterator)
         #: before every cell resolved -- recorded results are still valid
         self.interrupted = False
         #: lane count of every batched group executed this run
         self.batched_group_sizes: List[int] = []
-        #: (predicted, actual) seconds per completed cell -- the cost
-        #: model's scheduling estimates scored against reality
-        self.predictions: List[Tuple[float, float]] = []
-        #: which estimator produced the predictions ("heuristic"/"learned")
-        self.cost_model_kind = ""
-        #: multi-host scheduling counters (set by repro.core.sched)
-        self.host_id = ""
-        self.claims = 0
-        self.peer_results = 0
-        self.reaped_claims = 0
         self.started_at = time.time()
 
     # -- recording ----------------------------------------------------------
@@ -118,24 +108,8 @@ class RunReport:
         self.batched_group_sizes.append(int(lanes))
         emit_event("batched-group", lanes=lanes)
 
-    def record_prediction(self, predicted: float, actual: float) -> None:
-        """Score one completed cell's scheduling estimate against reality."""
-        self.predictions.append((float(predicted), float(actual)))
-
-    def record_claim(self, cells: int) -> None:
-        """This host claimed ``cells`` cells from the shared ledger."""
-        self.claims += int(cells)
-
-    def record_peer_result(self, cells: int = 1) -> None:
-        """``cells`` cells arrived via a peer host's published results."""
-        self.peer_results += int(cells)
-
-    def record_reap(self, cells: int = 1) -> None:
-        """``cells`` stale claims of a dead host were reaped for re-claim."""
-        self.reaped_claims += int(cells)
-
     def record_interrupted(self) -> None:
-        """The run stopped before completion (interrupt or cancellation)."""
+        """The run stopped before completion (an interrupt)."""
         if not self.interrupted:
             self.interrupted = True
             emit_event("run-interrupted-report")
@@ -144,23 +118,6 @@ class RunReport:
 
     def cells(self) -> List[CellReport]:
         return [self._cells[key] for key in sorted(self._cells)]
-
-    def prediction_stats(self) -> Dict[str, object]:
-        """Predicted-vs-actual accuracy of the scheduling cost model.
-
-        MAPE over completed cells; zero-duration actuals are skipped
-        (nothing meaningful to divide by).
-        """
-        errors = [
-            abs(predicted - actual) / actual
-            for predicted, actual in self.predictions
-            if actual > 0
-        ]
-        return {
-            "kind": self.cost_model_kind,
-            "predictions": len(errors),
-            "mape_percent": round(100.0 * sum(errors) / len(errors), 2) if errors else None,
-        }
 
     def _totals(self) -> Dict[str, object]:
         cells = list(self._cells.values())
@@ -199,16 +156,8 @@ class RunReport:
             "totals": self._totals(),
             "interrupted": self.interrupted,
             "batched_group_sizes": list(self.batched_group_sizes),
-            "cost_model": self.prediction_stats(),
             "quarantined": 0,
         }
-        if self.host_id:
-            data["distributed"] = {
-                "host_id": self.host_id,
-                "claims": self.claims,
-                "peer_results": self.peer_results,
-                "reaped_claims": self.reaped_claims,
-            }
         if runner is not None:
             data["simulations"] = runner.sim_count
             quarantined = 0
@@ -234,14 +183,6 @@ class RunReport:
         )
         if self.interrupted:
             line += " interrupted=yes"
-        stats = self.prediction_stats()
-        if stats["mape_percent"] is not None:
-            line += f" cost_model={stats['kind'] or 'heuristic'} cost_mape={stats['mape_percent']}%"
-        if self.host_id:
-            line += (
-                f" host={self.host_id} claims={self.claims} "
-                f"peer_results={self.peer_results} reaped_claims={self.reaped_claims}"
-            )
         if runner is not None:
             quarantined = 0
             if runner.cache is not None:

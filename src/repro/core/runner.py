@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.core.artifacts import ArtifactStore
 from repro.core.batched import plan_batches, resolve_configs, run_group
-from repro.core.costmodel import BASE_WARM_KEY, BATCHED_KEY
 from repro.core.run_report import RunReport
 from repro.obs.log import get_logger
 from repro.obs.metrics import registry as obs_registry
@@ -48,10 +47,8 @@ from repro.obs.spans import span
 from repro.obs.telemetry import flush as obs_flush
 from repro.obs.telemetry import worker_config as obs_worker_config
 from repro.core.results_io import (
-    TIMINGS_FILENAME,
     ResultCache,
     ResultKey,
-    TimingStore,
     cache_digest,
     cache_key,
     result_key,
@@ -148,10 +145,6 @@ class Runner:
         #: the label run-ledger records carry; the watchdog keys its
         #: baselines by (matrix, backend, host), so it stays "auto"
         self.backend = "auto"
-        #: optional :class:`~repro.core.sched.CoopScheduler` -- when set,
-        #: ``run_cells`` drains uncached cells through the multi-host
-        #: claim/publish protocol instead of simulating them all locally
-        self.coop = None
         self.report = RunReport()
         self.sim_count = 0
         self.bundle_builds = 0
@@ -165,7 +158,6 @@ class Runner:
         self._traces: Dict[str, Trace] = {}
         self._streams: Dict[Tuple[str, TageConfig], np.ndarray] = {}
         self._results: Dict[ResultKey, SimulationResult] = {}
-        self._timings: Optional[TimingStore] = None
         #: run ledger every run_matrix appends one record to.  ``None``
         #: with a cache attached auto-creates <cache-dir>/.ledger (the
         #: longitudinal history rides the same shared directory as the
@@ -177,26 +169,11 @@ class Runner:
 
             ledger = RunLedger(cache.cache_dir / LEDGER_DIRNAME)
         self.ledger = ledger or None
-        #: labels stamped into ledger records ("source", service job id,
-        #: tenant, ...); the CLI and daemon fill these before running
+        #: labels stamped into ledger records ("source", ...); the CLI
+        #: fills these before running
         self.ledger_context: Dict[str, object] = {}
         #: records this runner appended (the CLI's fallback-append guard)
         self.ledger_appends = 0
-
-    def timing_store(self) -> TimingStore:
-        """Observed-cell-timing store feeding the parallel cost model.
-
-        Persisted alongside the result cache when one is attached (or the
-        artifact store otherwise); in-memory only when neither is.
-        """
-        if self._timings is None:
-            path = None
-            if self.cache is not None:
-                path = self.cache.cache_dir / TIMINGS_FILENAME
-            elif self.artifacts is not None:
-                path = self.artifacts.root / TIMINGS_FILENAME
-            self._timings = TimingStore(path)
-        return self._timings
 
     # -- workload handling ------------------------------------------------------
 
@@ -271,18 +248,6 @@ class Runner:
             self.artifacts.save_base_stream(workload, self.config, base_cfg, shared.packed_stream())
         return shared
 
-    def base_stream_warm(self, workload: str, base_cfg: TageConfig) -> bool:
-        """Whether (workload, base)'s stream is memoised or persisted.
-
-        The parallel scheduler's cost estimate uses it (a warm group runs
-        tail-only) -- a dict lookup or a cheap ``is_file`` probe, no load.
-        """
-        if (workload, base_cfg) in self._streams:
-            return True
-        return self.artifacts is not None and self.artifacts.has_base_stream(
-            workload, self.config, base_cfg
-        )
-
     def release(self, workload: str, results: bool = False) -> None:
         """Drop the cached bundle (tensors, contexts) of a workload (bounds memory).
 
@@ -323,9 +288,8 @@ class Runner:
         """Content digest of one cell under this runner's config.
 
         The digest is the cell's identity in the disk
-        :class:`~repro.core.results_io.ResultCache`, in the multi-host
-        claim ledger, and in the experiment service's ``/results/<key>``
-        endpoint -- the same bytes name the same result everywhere.
+        :class:`~repro.core.results_io.ResultCache` and in run-ledger
+        records -- the same bytes name the same result everywhere.
         """
         return self._digest(workload, name, overrides or {})
 
@@ -463,7 +427,7 @@ class Runner:
         Cached cells (memory or disk) are resolved up front and duplicate
         uncached cells are simulated once; only unique misses run --
         serially for ``jobs <= 1``, otherwise fanned out one task per
-        shared-base group over a process pool, longest-expected-first (see
+        shared-base group over a process pool, heaviest first (see
         :mod:`repro.core.parallel`; workers resolve bundles through this
         runner's artifact store when one is attached).  Results come back
         in cell order and are bit-identical either way.  ``progress``
@@ -507,31 +471,17 @@ class Runner:
                     progress(workload, name, result)
 
         with span("run_cells", cells=len(cells), pending=len(pending), jobs=jobs):
-            if self.coop is not None and pending:
-                # elastic multi-host mode: claim/publish the uncached
-                # cells through the shared ledger (repro.core.sched);
-                # peer-completed cells arrive via the shared cache
-                from repro.core.sched import drain_cooperative
-
-                for (workload, name, overrides), result in drain_cooperative(
-                    self, list(cell_of.values()), jobs=jobs
-                ):
-                    finish(result_key(workload, name, overrides), result)
-            elif jobs > 1 and len(pending) > 1:
-                from repro.core.costmodel import make_cost_model
+            if jobs > 1 and len(pending) > 1:
                 from repro.core.parallel import run_cells_parallel
 
                 artifact_dir = str(self.artifacts.root) if self.artifacts is not None else None
-                model = make_cost_model(self.timing_store())
                 for (workload, name, overrides), result in run_cells_parallel(
                     self.config,
                     list(cell_of.values()),
                     jobs,
                     artifact_dir=artifact_dir,
-                    cost_model=model,
                     report=self.report,
                     telemetry=obs_worker_config(),
-                    base_warm=self.base_stream_warm,
                     memo=(self._traces, self._streams),
                 ):
                     self.sim_count += 1
@@ -545,13 +495,7 @@ class Runner:
                 by_workload: Dict[str, List[ResultKey]] = {}
                 for key in pending:
                     by_workload.setdefault(key[0], []).append(key)
-                try:
-                    self._run_serial(by_workload, cell_of, finish, release_bundles)
-                finally:
-                    # an interrupt mid-matrix still persists the timings
-                    # observed so far (advisory scheduling data; partial
-                    # saves are safe -- the store merges on write)
-                    self.timing_store().save()
+                self._run_serial(by_workload, cell_of, finish, release_bundles)
         obs_flush()  # publish this process's metrics snapshot, if enabled
         return [out[index] for index in range(len(cells))]
 
@@ -568,21 +512,9 @@ class Runner:
                     self.report.record_success(
                         cell_w, name, overrides, outcome.seconds, base_warm=outcome.base_warm
                     )
-                    self.timing_store().observe(
-                        workload,
-                        name,
-                        outcome.seconds,
-                        backend=BASE_WARM_KEY if outcome.base_warm else BATCHED_KEY,
-                        branches=self.config.num_branches,
-                    )
                     finish(result_key(cell_w, name, overrides), outcome.result)
             for cell_w, name, overrides in plan.singles:
-                started = time.perf_counter()
                 result = self.run_one(workload, name, use_cache=False, **overrides)
-                elapsed = time.perf_counter() - started
-                self.timing_store().observe(
-                    workload, name, elapsed, backend=BATCHED_KEY, branches=self.config.num_branches
-                )
                 finish(result_key(cell_w, name, overrides), result)
             if release_bundles:
                 self.release(workload)

@@ -111,7 +111,7 @@ def build_llbp_tail(llbp: "LLBP", shared: SharedBase) -> Tuple[StepFn, UBStepFn]
     # -- depth selection: LLBP's window, or LLBP-X's shallow/deep IDs
     # chosen by the CTT (ctt_sets) or by Opt-W's oracle (oracle_get)
     window = llbp._window
-    llbpx_contexts = isinstance(llbp, LLBPX) and not no_ctx
+    llbpx_contexts = isinstance(llbp, LLBPX)  # LLBPXConfig rejects no_contextualization
     ctt_sets = None
     oracle_get = None
     if llbpx_contexts:

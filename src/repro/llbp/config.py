@@ -107,7 +107,9 @@ class LLBPXConfig(LLBPConfig):
 
     Defaults follow §VI: shallow W=2, deep W=64, a 6K-entry 6-way CTT with
     3-bit avg-hist-len counters, overflow threshold of 7 confident
-    patterns, and H_th = 232.
+    patterns, and H_th = 232.  ``no_contextualization`` is rejected: the
+    limit study runs it on LLBP only, and depth adaptation needs context
+    IDs to adapt.
     """
 
     name: str = "llbpx"
@@ -139,6 +141,8 @@ class LLBPXConfig(LLBPConfig):
             raise ValueError("shallow depth must be smaller than deep depth")
         if not 0 < self.overflow_threshold <= self.patterns_per_set:
             raise ValueError("overflow threshold must be within the pattern set size")
+        if self.no_contextualization:
+            raise ValueError("LLBP-X has no no_contextualization mode (its depths need context IDs)")
 
     @property
     def effective_ctt_entries(self) -> int:

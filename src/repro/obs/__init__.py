@@ -10,15 +10,15 @@ Zero-dependency observability for experiment runs, in four pieces:
   dispatching ``run_cells`` span inherited over ``fork``).
 * **Metrics** (:mod:`repro.obs.metrics`) -- a per-process registry of
   counters, gauges, and fixed-bucket histograms (with percentile
-  estimation).  Existing store counters (``ResultCache``,
-  ``ArtifactStore``, ``TimingStore``, ``RunReport``) are migrated onto
-  the registry via pull *collectors*, so per-instance semantics and the
-  public attribute API are unchanged while every snapshot sees them.
+  estimation).  The stores' plain-int counters (``ResultCache``,
+  ``ArtifactStore``) reach the registry via pull *collectors*, so
+  per-instance semantics and the public attribute API are unchanged
+  while every snapshot sees them.
 * **Events** (:mod:`repro.obs.events`) -- a JSONL sink, one
   ``events-<pid>.jsonl`` file per process, flushed per line so files
   from killed workers still merge (a truncated final line is skipped,
-  never fatal).  Per-cell successes, batched groups, multi-host claims,
-  interrupts and periodic predictor samples land here.
+  never fatal).  Per-cell successes, batched groups, interrupts and
+  periodic predictor samples land here.
 * **Sampling** (:class:`Sampler`) -- periodic in-simulation snapshots
   of predictor internals (TAGE occupancy and useful-bit saturation,
   LLBP pattern-buffer hit rate, LLBP-X depth adaptation) every N
@@ -44,7 +44,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     merge_snapshots,
     registry,
-    to_prometheus,
 )
 from repro.obs.regress import check_and_update, flagged_records
 from repro.obs.report import load_run, render_report, render_trend
@@ -78,7 +77,6 @@ __all__ = [
     "compact_events",
     "configure",
     "flagged_records",
-    "to_prometheus",
     "configure_logging",
     "current",
     "emit_event",

@@ -81,16 +81,12 @@ def _iter_file(path: Path) -> Iterator[Dict[str, object]]:
 
 
 def read_events(
-    directory: Union[str, Path],
-    event_type: Optional[str] = None,
-    where: Optional[Dict[str, object]] = None,
+    directory: Union[str, Path], event_type: Optional[str] = None
 ) -> List[Dict[str, object]]:
     """All events from every per-pid file, sorted by timestamp.
 
     Tolerates missing directories, unreadable files, and truncated
-    lines; optionally filters to one ``event_type`` and/or to events
-    whose fields match every ``where`` entry (the experiment service
-    uses ``where={"job": job_id}`` to stream one job's progress).
+    lines; optionally filters to one ``event_type``.
     """
     directory = Path(directory)
     events: List[Dict[str, object]] = []
@@ -99,8 +95,6 @@ def read_events(
     for path in sorted(directory.glob(EVENT_FILE_PREFIX + "*" + EVENT_FILE_SUFFIX)):
         for event in _iter_file(path):
             if event_type is not None and event.get("type") != event_type:
-                continue
-            if where is not None and any(event.get(k) != v for k, v in where.items()):
                 continue
             events.append(event)
     events.sort(key=lambda e: (e.get("ts", 0.0), e.get("pid", 0)))
@@ -126,18 +120,19 @@ def _dead_pid_files(directory: Path, prefix: str, suffix: str) -> List[Path]:
 def compact_events(directory: Union[str, Path]) -> Dict[str, int]:
     """Merge dead-pid telemetry files into rolled segments.
 
-    A long-lived daemon accumulates one ``events-<pid>.jsonl`` and one
-    ``metrics-<pid>.json`` per job-runner worker process; once the
-    writer is dead its files are frozen, so they can be folded into a
-    single ``events-merged.jsonl`` (events re-emitted in timestamp
-    order, torn tails dropped) and ``metrics-merged.json`` (snapshot
-    merge: counters/histograms sum, gauges last-writer) and deleted.
+    A telemetry directory reused across runs accumulates one
+    ``events-<pid>.jsonl`` and one ``metrics-<pid>.json`` per process
+    (parent and pool workers); once the writer is dead its files are
+    frozen, so they can be folded into a single ``events-merged.jsonl``
+    (events re-emitted in timestamp order, torn tails dropped) and
+    ``metrics-merged.json`` (snapshot merge: counters/histograms sum,
+    gauges last-writer) and deleted.
     Readers need no migration -- the rolled names match the same globs
     ``read_events``/``merged_metrics`` already scan.
 
     Only files of provably dead pids are touched (``pid_alive``), never
-    the calling process's own, so compaction is safe to run while a
-    service is serving.  Returns counts for the CLI/startup log line.
+    the calling process's own, so compaction is safe to run while a run
+    is still writing.  Returns counts for the CLI's summary line.
     """
     directory = Path(directory)
     stats = {"event_files": 0, "events": 0, "metrics_files": 0}

@@ -4,8 +4,8 @@ The ledger is the longitudinal complement to :mod:`repro.obs.telemetry`:
 telemetry observes *one* run in depth and is discarded afterwards; the
 ledger keeps one compact record per run forever, so throughput drift,
 cache-health decay, and -- most importantly -- result-digest changes are
-visible across days of CLI invocations, service jobs, and benchmark
-sweeps sharing a cache directory.
+visible across days of CLI invocations and benchmark sweeps sharing a
+cache directory.
 
 Storage follows the repo's crash-safety house style:
 
@@ -244,8 +244,8 @@ def build_run_record(
 ) -> Dict[str, object]:
     """Assemble one ledger record from a finished runner + its results.
 
-    The record embeds the full run report (with cache/artifact health and
-    cost-model accuracy), the merged metrics snapshot (all processes when
+    The record embeds the full run report (with cache/artifact health),
+    the merged metrics snapshot (all processes when
     a telemetry session is live, else this process's registry), and the
     throughput figures the regression watchdog compares.
     """

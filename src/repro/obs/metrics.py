@@ -13,10 +13,10 @@ SIGKILL can never corrupt anyone else's metrics — at worst its own last
 snapshot is slightly stale, which the crash-merge test pins as exactly
 the counts it had already flushed.
 
-Existing plain-int counters on ``ResultCache``/``ArtifactStore``/
-``TimingStore``/``RunReport`` are migrated onto the registry through
-*collectors*: weakly-referenced callables polled at snapshot time whose
-key/value dicts are folded into the counter section under a prefix.
+Existing plain-int counters on ``ResultCache``/``ArtifactStore`` are
+migrated onto the registry through *collectors*: weakly-referenced
+callables polled at snapshot time whose key/value dicts are folded into
+the counter section under a prefix.
 This keeps the per-instance attribute API (tests assign
 ``cache.quarantined = 2``) while making every instance visible to
 telemetry without explicit flushing.
@@ -27,7 +27,6 @@ from __future__ import annotations
 import inspect
 import math
 import os
-import re
 import threading
 import weakref
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -41,7 +40,6 @@ __all__ = [
     "merge_snapshots",
     "registry",
     "reset_registry",
-    "to_prometheus",
 ]
 
 # Upper bounds (seconds) for duration histograms: sub-millisecond cache
@@ -286,64 +284,6 @@ def merge_snapshots(snapshots: Iterable[Mapping[str, object]]) -> Dict[str, obje
         "gauges": gauges,
         "histograms": {name: h.to_dict() for name, h in histograms.items()},
     }
-
-
-_PROM_INVALID = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _prom_name(name: str, prefix: str) -> Tuple[str, str]:
-    """Split an instrument name into a Prometheus ``(name, labels)`` pair.
-
-    Registry names are dotted (``jobs.queue_depth``); dots and any other
-    character outside Prometheus's grammar become underscores.  A name
-    may embed a label set (``jobs.active{tenant="x",state="queued"}``):
-    the braces pass through verbatim, only the bare name is sanitised.
-    """
-    labels = ""
-    if "{" in name:
-        name, _, rest = name.partition("{")
-        labels = "{" + rest
-    return prefix + _PROM_INVALID.sub("_", name), labels
-
-
-def _prom_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(float(value))
-
-
-def to_prometheus(snapshot: Mapping[str, object], prefix: str = "repro_") -> str:
-    """Render a (merged) snapshot in Prometheus text exposition format.
-
-    Counters and gauges are one sample each; histograms expand into the
-    conventional cumulative ``_bucket{le=...}`` series (including the
-    ``+Inf`` bucket) plus ``_sum`` and ``_count``.  Output is sorted so
-    scrapes of an unchanged registry are byte-identical.
-    """
-    lines: List[str] = []
-    for raw, value in sorted(dict(snapshot.get("counters", {})).items()):  # type: ignore[arg-type]
-        name, labels = _prom_name(raw, prefix)
-        lines.append("# TYPE %s counter" % name)
-        lines.append("%s%s %s" % (name, labels, _prom_number(float(value))))
-    for raw, value in sorted(dict(snapshot.get("gauges", {})).items()):  # type: ignore[arg-type]
-        name, labels = _prom_name(raw, prefix)
-        lines.append("# TYPE %s gauge" % name)
-        lines.append("%s%s %s" % (name, labels, _prom_number(float(value))))
-    for raw, data in sorted(dict(snapshot.get("histograms", {})).items()):  # type: ignore[arg-type]
-        name, labels = _prom_name(raw, prefix)
-        hist = Histogram.from_dict(raw, data)
-        lines.append("# TYPE %s histogram" % name)
-        label_body = labels[1:-1] if labels else ""
-        cumulative = 0
-        for bound, count in zip(hist.bounds, hist.counts):
-            cumulative += count
-            le = ",".join(filter(None, [label_body, 'le="%s"' % _prom_number(bound)]))
-            lines.append("%s_bucket{%s} %d" % (name, le, cumulative))
-        le = ",".join(filter(None, [label_body, 'le="+Inf"']))
-        lines.append("%s_bucket{%s} %d" % (name, le, hist.count))
-        lines.append("%s_sum%s %s" % (name, labels, repr(float(hist.sum))))
-        lines.append("%s_count%s %d" % (name, labels, hist.count))
-    return "\n".join(lines) + "\n"
 
 
 _REGISTRY: Optional[MetricsRegistry] = None

@@ -1,4 +1,4 @@
-"""Render a merged telemetry run: span tree, top metrics, groups, hosts.
+"""Render a merged telemetry run: span tree, top metrics, shared-base groups.
 
 Works purely from the files in a telemetry directory (events + per-pid
 metrics snapshots), so it can be pointed at the output of a crashed run
@@ -157,37 +157,6 @@ def render_report(directory: Union[str, Path], top: int = 12) -> str:
                     _fmt_num(counters.get("backend.base_bytes", 0)),
                 )
             )
-
-    if "run.cost_mape_percent" in gauges:
-        lines.append("")
-        lines.append("cost model:")
-        lines.append(
-            "  predicted-vs-actual MAPE: %.2f%%" % float(gauges["run.cost_mape_percent"])
-        )
-
-    coop_events = [
-        e for e in events if e.get("type") in ("coop-start", "cell-claim", "peer-result", "claim-reaped")
-    ]
-    if coop_events or counters.get("sched.claims"):
-        hosts = sorted(
-            {str(e.get("host")) for e in coop_events if e.get("host") not in (None, "")}
-        )
-        lines.append("")
-        lines.append("distributed scheduling:")
-        lines.append(
-            "  hosts: %d  claims: %d  peer results: %d  reaped claims: %d  wait rounds: %d"
-            % (
-                len(hosts),
-                int(counters.get("sched.claims", 0)),
-                int(counters.get("sched.peer_results", 0)),
-                int(counters.get("sched.reaped_claims", 0)),
-                int(counters.get("sched.wait_rounds", 0)),
-            )
-        )
-        for host in hosts:
-            claims = sum(1 for e in coop_events if e.get("type") == "cell-claim" and e.get("host") == host)
-            peers = sum(1 for e in coop_events if e.get("type") == "peer-result" and e.get("host") == host)
-            lines.append("  %-32s claimed %d  adopted %d" % (host, claims, peers))
     return "\n".join(lines)
 
 

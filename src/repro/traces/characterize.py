@@ -4,25 +4,17 @@ Used to document the synthetic substrate (DESIGN.md §1's substitution
 argument rests on these properties) and by tests that assert the
 workloads stay server-like: substantial unconditional-branch share,
 repeating call paths, a small H2P population with high dynamic weight.
-
-:func:`probe_features` / :func:`workload_features` expose a cheap
-numeric fingerprint of a workload (conditional share, H2P density,
-context diversity) computed from a short *probe* trace.  The scheduler's
-learned cost model (:mod:`repro.core.costmodel`) uses these as
-regression features: simulation time varies with how much predictor
-work a trace induces, and these structural densities are the observable
-proxies for that work.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.traces.cfg import Program
 from repro.traces.record import BranchKind, Trace
-from repro.traces.workloads import WorkloadSpec, build_program, generate_workload
+from repro.traces.workloads import WorkloadSpec, build_program
 
 
 @dataclass
@@ -95,79 +87,3 @@ def characterize(trace: Trace, program: Optional[Program] = None, spec: Optional
         behavior_shares=behavior_shares,
         context_diversity=diversity,
     )
-
-
-# -- cost-model features -------------------------------------------------------
-
-#: probe-trace length for :func:`workload_features` -- long enough that the
-#: structural densities stabilise, short enough to generate in tens of ms
-PROBE_BRANCHES = 6000
-
-#: per-process memo of probe features (generation dominates the cost)
-_FEATURE_CACHE: Dict[Tuple[str, int, Optional[int]], Dict[str, float]] = {}
-
-
-def probe_features(trace: Trace) -> Dict[str, float]:
-    """Numeric fingerprint of a trace for cost-model regression.
-
-    All features are densities in [0, ~1] or small ratios, so one scale
-    suits every workload/trace-length combination:
-
-    * ``cond_share`` -- dynamic share of conditional branches (only
-      conditionals exercise the TAGE/SC/LLBP tables).
-    * ``h2p_density`` -- dynamic share of conditional executions coming
-      from *hard* static branches (per-PC taken rate in [0.1, 0.9]).
-      True H2P identification needs a simulation; biased-rate filtering
-      is the standard trace-only proxy (hard branches drive allocations,
-      useful-bit churn, and pattern-store traffic -- the work that makes
-      one cell slower than another at equal length).
-    * ``context_diversity`` -- distinct depth-2 call/return windows per
-      1K unconditional branches (more contexts = more RCR/CTT work),
-      rescaled to [0, 1].
-    * ``static_density`` -- static conditional PCs per dynamic
-      conditional execution (table pressure proxy).
-    """
-    pcs_l, kinds_l, taken_l = trace.aslists("pcs", "kinds", "taken")
-    cond_kind = int(BranchKind.COND)
-    n = len(trace)
-    executions: Counter = Counter()
-    taken_counts: Counter = Counter()
-    for pc, kind, taken in zip(pcs_l, kinds_l, taken_l):
-        if kind == cond_kind:
-            executions[pc] += 1
-            if taken:
-                taken_counts[pc] += 1
-    cond = sum(executions.values())
-    hard = 0
-    for pc, count in executions.items():
-        rate = taken_counts[pc] / count
-        if 0.1 <= rate <= 0.9:
-            hard += count
-    ub_stream = [
-        (pc, kind) for pc, kind in zip(pcs_l, kinds_l)
-        if kind in (int(BranchKind.CALL), int(BranchKind.RETURN))
-    ]
-    windows = {tuple(ub_stream[i: i + 2]) for i in range(len(ub_stream) - 1)}
-    return {
-        "cond_share": cond / n if n else 0.0,
-        "h2p_density": hard / cond if cond else 0.0,
-        "context_diversity": min(1.0, len(windows) / max(1, len(ub_stream))),
-        "static_density": len(executions) / cond if cond else 0.0,
-    }
-
-
-def workload_features(
-    name: str, num_branches: int = PROBE_BRANCHES, seed: Optional[int] = None
-) -> Dict[str, float]:
-    """Probe features of a named workload (memoised per process).
-
-    Generates a short probe trace (``num_branches``, default
-    :data:`PROBE_BRANCHES`) rather than a full experiment-length one:
-    the densities are length-stable, and the cost model only needs them
-    once per workload per process.
-    """
-    key = (name, num_branches, seed)
-    if key not in _FEATURE_CACHE:
-        trace = generate_workload(name, num_branches=num_branches, seed=seed, use_cache=False)
-        _FEATURE_CACHE[key] = probe_features(trace)
-    return _FEATURE_CACHE[key]

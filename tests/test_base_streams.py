@@ -2,13 +2,11 @@
 
 The artifact store persists each group's recorded base stream keyed by
 (bundle digest, canonical base config digest, ``BASE_STREAM_VERSION``);
-later runs -- and peer ``--join`` hosts -- adopt the stored stream and
-run tail-only.  This suite is the warm path's correctness contract:
+later runs adopt the stored stream and run tail-only.  This suite is the warm path's correctness contract:
 replay from a *loaded* stream must be bit-identical to a fresh
 recording (and to a cell run over a base of its own) for every
-workload and grouped family; a lone cell replays a persisted base; a
-version bump or a torn file invalidates cleanly; and cooperating hosts
-share exactly one recording.
+workload and grouped family; a lone cell replays a persisted base; and
+a version bump or a torn file invalidates cleanly.
 
 Note the deliberate asymmetry with ``tests/test_batched_equivalence``:
 warm-path assertions compare *results*, never predictor table state --
@@ -21,9 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ArtifactStore, ResultCache, Runner, RunnerConfig
+from repro.core import ArtifactStore, Runner, RunnerConfig
 from repro.core.batched import base_config, plan_batches, run_group
-from repro.obs.metrics import registry as obs_registry
 from repro.tage.batched_state import BASE_STREAM_DTYPE, BASE_STREAM_VERSION, SharedBase
 from repro.traces.workloads import WORKLOAD_NAMES
 from tests.conftest import TEST_SCALE
@@ -191,50 +188,3 @@ def test_wrong_length_stream_is_quarantined(tmp_path):
         is None
     )
     assert store.quarantined == 1
-
-
-# -- cooperating hosts share one recording ---------------------------------------
-
-
-def test_join_hosts_share_one_recording(tmp_path):
-    from repro.core.sched import CoopScheduler, HostLedger
-
-    cache_dir = tmp_path / "cache"
-    hosts_dir = tmp_path / "hosts"
-    art_dir = tmp_path / "artifacts"
-
-    def make_host(host_id):
-        runner = Runner(
-            SMALL, cache=ResultCache(cache_dir), artifacts=ArtifactStore(art_dir)
-        )
-        runner.coop = CoopScheduler(HostLedger(hosts_dir, host_id=host_id), claim_batch=2)
-        return runner
-
-    records_before = obs_registry().counter("backend.base_records").value
-
-    # host A claims its same-base pair as one group: one recording
-    host_a = make_host("hostA")
-    group_cells = [("kafka", "llbp", {}), ("kafka", "llbpx", {})]
-    results_a = host_a.run_cells(group_cells)
-    assert host_a.artifacts.base_writes == 1 and host_a.artifacts.base_loads == 0
-
-    # hosts B and C drain same-base cells later: warm singletons, zero records
-    host_b = make_host("hostB")
-    results_b = host_b.run_cells([("kafka", "llbp_0lat", {})])
-    assert host_b.artifacts.base_writes == 0 and host_b.artifacts.base_loads == 1
-    assert host_b.report.totals()["base_warm"] == 1
-    assert host_b.report.batched_group_sizes == [1]
-
-    host_c = make_host("hostC")
-    results_c = host_c.run_cells([("kafka", "llbpx_0lat", {})])
-    assert host_c.artifacts.base_writes == 0 and host_c.artifacts.base_loads == 1
-
-    # exactly one recording total, one stream file on disk, serving all hosts
-    assert obs_registry().counter("backend.base_records").value == records_before + 1
-    assert len(list(art_dir.rglob("base_*.npy"))) == 1
-
-    reference = Runner(SMALL)
-    for (workload, name, _), result in zip(group_cells, results_a):
-        assert result == reference.run_one(workload, name, use_cache=False)
-    assert results_b == [reference.run_one("kafka", "llbp_0lat", use_cache=False)]
-    assert results_c == [reference.run_one("kafka", "llbpx_0lat", use_cache=False)]

@@ -15,11 +15,9 @@ store's migration of bare legacy keys.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.core import Runner, RunnerConfig, TimingStore
+from repro.core import Runner, RunnerConfig
 from repro.core.batched import base_config, plan_batches, run_group
 from repro.core.simulator import simulate
 from repro.experiments.fig16_capacity import FIG16A_CONTEXTS
@@ -173,13 +171,6 @@ class TestRunnerIntegration:
         assert totals["batched_groups"] == 4 and totals["batched_lanes"] == 6
         assert "batched_groups=4" in report.summary()
 
-    def test_auto_timings_are_keyed_by_backend(self):
-        runner = Runner(SMALL)
-        runner.run_cells([("kafka", "tsl_64k", {}), ("kafka", "llbp", {})])
-        timings = runner.timing_store()
-        assert timings.get("kafka", "tsl_64k", backend="batched") is not None
-        assert timings.get("kafka", "tsl_64k") is None  # no legacy-key observation
-
     def test_forced_batched_runs_singleton_groups(self):
         expected = Runner(SMALL).run_one("kafka", "tsl_64k")
         runner = Runner(SMALL)
@@ -227,24 +218,3 @@ def test_predict_update_never_records_a_base(base_records, name):
     assert base_records == [] and not tsl.base.recorded
     assert callable(predictor.step)  # the tail: its first use records the base
     assert base_records == ["tsl_64k"] and tsl.base.recorded
-
-
-# -- timing-store key dimension -------------------------------------------------
-
-
-class TestTimingStoreBackendKeys:
-    def test_bare_legacy_keys_migrate_to_reference(self, tmp_path):
-        path = tmp_path / "timings.meta"
-        path.write_text(json.dumps({"version": 1, "seconds": {"kafka/llbp": 2.0}}))
-        store = TimingStore(path)
-        assert store.get("kafka", "llbp") == 2.0  # default backend: reference
-        assert store.get("kafka", "llbp", backend="batched") is None
-        store.save()
-        assert json.loads(path.read_text())["seconds"] == {"kafka/llbp@reference": 2.0}
-
-    def test_backends_are_independent_series(self):
-        store = TimingStore()
-        store.observe("kafka", "llbp", 4.0)
-        store.observe("kafka", "llbp", 1.0, backend="batched")
-        assert store.get("kafka", "llbp") == 4.0
-        assert store.get("kafka", "llbp", backend="batched") == 1.0

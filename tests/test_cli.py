@@ -58,14 +58,27 @@ class TestParser:
 
     def test_backend_option_is_gone(self, capsys):
         # every cell runs as a lane tail over a base stream: nothing to select
-        for argv in (
-            ["run", "--workload", "kafka", "--config", "llbp", "--backend", "auto"],
-            ["submit", "--url", "http://x", "--workload", "kafka", "--config", "llbp",
-             "--backend", "auto"],
-        ):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(argv)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["run", "--workload", "kafka", "--config", "llbp", "--backend", "auto"]
+            )
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    def test_service_verbs_are_gone(self, capsys):
+        for verb in ("serve", "submit", "status"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([verb])
+            assert f"invalid choice: '{verb}'" in capsys.readouterr().err
+
+    def test_multihost_options_are_gone(self, capsys):
+        # one host runs the matrix; there is no claim ledger to join
+        commands = (["run", "--workload", "kafka", "--config", "llbp"], ["report", "fig12"])
+        options = (["--join"], ["--host-id", "a"], ["--hosts-dir", "h"], ["--claim-batch", "2"])
+        for command in commands:
+            for option in options:
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(command + option)
+                assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
 
     def test_parallelism_and_cache_flags(self):
         args = build_parser().parse_args(
@@ -191,6 +204,16 @@ class TestExecution:
         assert second.out == first.out
         assert "1 hits, 0 misses" in second.err
 
+    def test_cache_dir_holds_only_results_and_ledger(self, capsys, tmp_path):
+        cache_dir = tmp_path / "cache"
+        argv = ["run", "--workload", "kafka", "--config", "tsl_64k", "--config", "llbp",
+                "--branches", "5000", "--cache-dir", str(cache_dir)]
+        assert main(argv) == 0  # cold
+        assert main(argv) == 0  # fully cached
+        names = sorted(path.name for path in cache_dir.iterdir())
+        assert len(names) == 3 and names[0] == ".ledger"
+        assert all(name.endswith(".json") for name in names[1:])
+
     def test_run_with_artifact_dir_reuses_bundles(self, capsys, tmp_path):
         argv = ["run", "--workload", "kafka", "--config", "tsl_64k",
                 "--branches", "5000", "--artifact-dir", str(tmp_path), "--log-level", "info"]
@@ -223,7 +246,7 @@ class TestExecution:
         assert code == 0
         assert f"run report written to {report_path}" in capsys.readouterr().err
         payload = json.loads(report_path.read_text())
-        assert payload["version"] == REPORT_FORMAT_VERSION == 2
+        assert payload["version"] == REPORT_FORMAT_VERSION == 3
         assert payload["totals"] == {
             "cells": 1, "cached": 0, "simulated": 1,
             "seconds": payload["totals"]["seconds"],
@@ -231,6 +254,7 @@ class TestExecution:
         }
         assert payload["simulations"] == 1
         assert payload["cells"][0]["workload"] == "kafka"
+        assert "cost_model" not in payload and "distributed" not in payload
 
     def test_run_resumes_after_worker_death(self, capsys, tmp_path, doom_task, monkeypatch):
         argv = ["run", "--workload", "kafka", "--workload", "nodeapp",

@@ -3,9 +3,8 @@
 Covers the observability tentpole end to end: crash-safe JSONL storage
 (torn tails skipped, index advisory only), automatic appends from
 ``run_matrix`` and the CLI session fallback, the check-before-update
-baseline ordering, synthetic slowdown / digest-flip flagging, the
-Prometheus text renderer's format invariants, dead-pid telemetry
-compaction, and the ``repro history`` CLI verbs.
+baseline ordering, synthetic slowdown / digest-flip flagging, dead-pid
+telemetry compaction, and the ``repro history`` CLI verbs.
 """
 
 import json
@@ -23,7 +22,6 @@ from repro.obs.ledger import (
     matrix_digest,
     result_digest,
 )
-from repro.obs.metrics import MetricsRegistry, to_prometheus
 from repro.obs.regress import (
     BASELINES_FILENAME,
     baseline_key,
@@ -297,40 +295,6 @@ def test_run_record_carries_full_context(tmp_path):
     assert record["configs"] == CONFIGS
     assert record["branches"] == len(cells) * BRANCHES
     assert record["report"]["totals"]["cells"] == len(cells)
-
-
-# -- Prometheus exposition --------------------------------------------------
-
-
-def test_prometheus_format_validity():
-    registry = MetricsRegistry()
-    registry.counter("cache.hits").inc(3)
-    registry.gauge("jobs.queue_depth").set(2.0)
-    registry.gauge('jobs.tenant{tenant="alice",state="queued"}').set(1.0)
-    registry.histogram("jobs.wait.seconds").observe(0.004)
-    registry.histogram("jobs.wait.seconds").observe(70.0)
-    text = to_prometheus(registry.snapshot())
-
-    assert text.endswith("\n")
-    assert "# TYPE repro_cache_hits counter\nrepro_cache_hits 3\n" in text
-    assert "repro_jobs_queue_depth 2\n" in text
-    assert 'repro_jobs_tenant{tenant="alice",state="queued"} 1\n' in text
-
-    buckets = []
-    for line in text.splitlines():
-        assert not line.startswith("#") or line.startswith("# TYPE"), line
-        if line.startswith("repro_jobs_wait_seconds_bucket"):
-            buckets.append(int(line.rsplit(" ", 1)[1]))
-    # cumulative and monotone, +Inf bucket equals the observation count
-    assert buckets == sorted(buckets)
-    assert 'le="+Inf"} 2' in text
-    assert "repro_jobs_wait_seconds_count 2" in text
-    # metric names are prometheus-legal
-    for line in text.splitlines():
-        if line.startswith("#"):
-            continue
-        name = line.split("{")[0].split(" ")[0]
-        assert name.replace("_", "").replace(":", "").isalnum(), name
 
 
 # -- telemetry compaction ---------------------------------------------------

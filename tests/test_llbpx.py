@@ -51,6 +51,20 @@ class TestConfig:
 
         assert llbpx_default().storage_bits() > llbp_default().storage_bits()
 
+    def test_no_contextualization_rejected(self):
+        # depth adaptation needs context IDs; the limit study's switch is LLBP's alone
+        from repro.core import Runner, RunnerConfig
+        from repro.llbp import llbp_default
+
+        with pytest.raises(ValueError, match="no_contextualization"):
+            llbpx_default(no_contextualization=True)
+        assert llbp_default(no_contextualization=True).no_contextualization
+        runner = Runner(RunnerConfig(scale=TEST_SCALE, num_branches=2000))
+        for name in ("llbpx", "llbpx_optw"):
+            with pytest.raises(ValueError, match="no_contextualization"):
+                runner.run_one("kafka", name, no_contextualization=True)
+        assert runner.sim_count == 0
+
 
 class TestDepthSelection:
     def test_default_context_is_shallow(self):

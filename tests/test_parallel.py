@@ -10,23 +10,20 @@ every finished result in the cache, a rerun simulates only the missing
 cells, and no pool worker outlives a failed or abandoned run.
 """
 
-import json
 import os
+import threading
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.core import (
-    ArtifactStore,
-    CoopScheduler,
-    HostLedger,
-    ResultCache,
-    Runner,
-    RunnerConfig,
-    RunReport,
-    TimingStore,
+from repro.core import ArtifactStore, ResultCache, Runner, RunnerConfig, RunReport
+from repro.core.parallel import (
+    config_weight,
+    effective_jobs,
+    plan_tasks,
+    run_cells_parallel,
+    simulate_task,
 )
-from repro.core.parallel import CostModel, config_weight, run_cells_parallel, simulate_task
 from repro.obs.metrics import registry as obs_registry
 from tests.conftest import DoomedTaskError, wait_for_no_children
 
@@ -145,105 +142,34 @@ class TestCellGranularScheduling:
         runner.run_matrix(WORKLOADS, ("tsl_16k",), jobs=2)
         assert len(store) == len(WORKLOADS)
 
-    def test_timings_persist_next_to_result_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        runner = Runner(SMALL, cache=cache)
-        runner.run_matrix(WORKLOADS, ("tsl_16k",), jobs=2)
-        timings = TimingStore(tmp_path / "timings.meta")
-        assert timings.get("kafka", "tsl_16k", backend="batched") is not None
-        # the timing file is invisible to the result cache's entry count
-        assert len(cache) == len(WORKLOADS)
-
 
 class TestCostModel:
+    """The static cost model: config weights order the pool's tasks."""
+
     def test_config_weight_prefix_order(self):
         assert config_weight("llbpx_optw") > config_weight("llbpx")
         assert config_weight("llbpx") > config_weight("llbp")
         assert config_weight("llbp") > config_weight("tsl_64k") == 1.0
 
-    def test_static_estimate_scales_with_length_and_weight(self):
-        model = CostModel()
-        assert model.estimate("kafka", "llbpx", 8000) > model.estimate("kafka", "llbp", 8000)
-        assert model.estimate("kafka", "llbp", 16000) > model.estimate("kafka", "llbp", 8000)
-
-    def test_observed_timing_overrides_static(self):
-        timings = TimingStore()
-        timings.observe("kafka", "tsl_16k", 123.0)
-        model = CostModel(timings)
-        assert model.estimate("kafka", "tsl_16k", 8000) == 123.0
-        assert model.estimate("nodeapp", "tsl_16k", 8000) < 1.0  # static fallback
-
-
-class TestTimingStore:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "timings.meta"
-        store = TimingStore(path)
-        store.observe("kafka", "llbp", 2.0)
-        store.save()
-        reloaded = TimingStore(path)
-        assert reloaded.get("kafka", "llbp") == 2.0
-
-    def test_ema_blends_observations(self):
-        store = TimingStore(alpha=0.5)
-        store.observe("w", "c", 2.0)
-        store.observe("w", "c", 4.0)
-        assert store.get("w", "c") == pytest.approx(3.0)
-
-    def test_corrupt_file_treated_as_empty(self, tmp_path):
-        path = tmp_path / "timings.meta"
-        path.write_text("not json {")
-        store = TimingStore(path)
-        assert len(store) == 0
-        store.observe("w", "c", 1.0)
-        store.save()
-        assert json.loads(path.read_text())["seconds"] == {"w/c@reference": 1.0}
-
-    def test_in_memory_save_is_noop(self):
-        TimingStore().save()  # must not raise
-
-    def test_concurrent_saves_blend_instead_of_clobbering(self, tmp_path):
-        path = tmp_path / "timings.meta"
-        a = TimingStore(path)
-        b = TimingStore(path)  # loaded before a saved: knows nothing of a
-        a.observe("kafka", "llbp", 2.0)
-        a.save()
-        b.observe("kafka", "llbp", 4.0)
-        b.save()
-        assert TimingStore(path).get("kafka", "llbp") == pytest.approx(3.0)
-
-    def test_disk_only_keys_adopted_on_save(self, tmp_path):
-        path = tmp_path / "timings.meta"
-        a = TimingStore(path)
-        b = TimingStore(path)
-        a.observe("kafka", "llbp", 2.0)
-        a.save()
-        b.observe("nodeapp", "tsl_64k", 1.0)
-        b.save()
-        merged = TimingStore(path)
-        assert merged.get("kafka", "llbp") == pytest.approx(2.0)
-        assert merged.get("nodeapp", "tsl_64k") == pytest.approx(1.0)
-
-    def test_unchanged_disk_keys_not_reblended(self, tmp_path):
-        path = tmp_path / "timings.meta"
-        store = TimingStore(path)
-        store.observe("kafka", "llbp", 2.0)
-        store.save()
-        store.save()  # disk matches the synced snapshot: value must not drift
-        assert TimingStore(path).get("kafka", "llbp") == pytest.approx(2.0)
-
-    def test_stale_temp_swept_on_init(self, tmp_path):
-        path = tmp_path / "timings.meta"
-        stale = tmp_path / "timings.meta.tmp.999999999"
-        stale.write_text("partial")
-        TimingStore(path)
-        assert not stale.exists()
-
-    def test_live_temp_kept(self, tmp_path):
-        path = tmp_path / "timings.meta"
-        live = tmp_path / f"timings.meta.tmp.{os.getpid()}"
-        live.write_text("in flight")
-        TimingStore(path)
-        assert live.exists()
+    def test_plan_tasks_heaviest_first_ties_in_workload_order(self):
+        cells = [
+            ("kafka", "tsl_16k", {}),
+            ("nodeapp", "tsl_16k", {}),
+            ("whiskey", "tsl_64k", {}),
+            ("whiskey", "llbp", {}),
+            ("tomcat", "tsl_inf", {}),
+            ("delta", "tsl_16k", {}),
+        ]
+        tasks = plan_tasks(cells, SMALL)
+        assert [[name for _, name, _ in task.cells] for task in tasks] == [
+            ["tsl_64k", "llbp"],  # weight 2.6: one group over the 64K base
+            ["tsl_inf"],  # 1.3
+            ["tsl_16k"],  # 1.0 each, in plan (workload-major) order
+            ["tsl_16k"],
+            ["tsl_16k"],
+        ]
+        assert [task.cells[0][0] for task in tasks[2:]] == ["kafka", "nodeapp", "delta"]
+        assert all(task.grouped for task in tasks)
 
 
 #: two shared-base groups of two cells each
@@ -274,18 +200,6 @@ class TestResume:
         assert resumed.run_cells(GROUPS, jobs=2) == expected
         assert resumed.sim_count == 2
 
-    def test_join_host_releases_its_claims_when_a_worker_dies(self, tmp_path, doom_task):
-        cache_dir = tmp_path / "cache"
-        doom_task("die", "kafka", cache_dir, finished=2)
-        runner = Runner(SMALL, cache=ResultCache(cache_dir))
-        runner.coop = CoopScheduler(HostLedger(tmp_path / "hosts", host_id="solo"))
-        with pytest.raises(BrokenProcessPool):
-            runner.run_cells(GROUPS, jobs=2)
-        # peers can claim the missing cells at once, without waiting out a TTL
-        assert list((tmp_path / "hosts").glob("*.claim")) == []
-        assert len(ResultCache(cache_dir)) == 2
-
-
 class TestPoolTeardown:
     def test_worker_death_leaves_no_workers(self, tmp_path, doom_task):
         doom_task("die", "kafka", tmp_path)
@@ -304,9 +218,28 @@ class TestPoolTeardown:
         before = interrupts.value
         report = RunReport()
         cells = [(w, "tsl_16k", {}) for w in ("kafka", "nodeapp", "whiskey", "tomcat")]
+        threads = set(threading.enumerate())
         results = run_cells_parallel(SMALL, cells, 2, report=report)
         next(results)
-        results.close()  # what a cancelled service job does
+        results.close()  # a caller abandoning the iterator mid-run
         assert interrupts.value == before + 1
         assert report.interrupted
         assert wait_for_no_children()
+        # nor a pool thread, which the interpreter would join at exit
+        pool_threads = [thread for thread in threading.enumerate() if thread not in threads]
+        for thread in pool_threads:
+            thread.join(timeout=5.0)
+        assert not any(thread.is_alive() for thread in pool_threads)
+
+
+class TestJobsClamp:
+    def test_auto_is_cpu_count(self):
+        assert effective_jobs(0) == (os.cpu_count() or 1)
+        assert effective_jobs(None) == (os.cpu_count() or 1)
+
+    def test_oversubscription_clamped(self):
+        available = os.cpu_count() or 1
+        assert effective_jobs(available + 5) == available
+
+    def test_within_budget_untouched(self):
+        assert effective_jobs(1) == 1
